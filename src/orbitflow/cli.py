@@ -29,7 +29,7 @@ from .errors import OrbitflowError
 from .graphs import validate_graph
 from .legendre import direction_hull, entropy_hessian, solve_u
 from .models import load_model, serialize_model
-from .thermo import flow_pressure, pressure_gradient
+from .thermo import edge_arrays, pressure_jet
 
 
 def _fmt(x) -> str:
@@ -80,9 +80,9 @@ def cmd_validate(args) -> int:
 def cmd_pressure(args) -> int:
     m = load_model(args.model)
     u = _parse_floats(args.u)
-    p = flow_pressure(m.graph, m.weights, u)
-    grad = pressure_gradient(m.graph, m.weights, u)
-    _emit("u,pressure,gradient", [[_fmt_vec(u), _fmt(p), _fmt_vec(grad)]])
+    jet = pressure_jet(*edge_arrays(m.graph, m.weights), u)
+    _emit("u,pressure,gradient",
+          [[_fmt_vec(u), _fmt(jet.pressure), _fmt_vec(jet.gradient)]])
     return 0
 
 

@@ -171,21 +171,22 @@ def require_valid(g: DirectedGraph) -> None:
         raise InvalidGraph("; ".join(problems))
 
 
-def is_aperiodic(g: DirectedGraph) -> bool:
-    """True iff the gcd of cycle lengths is 1.
+def is_primitive_pattern(pattern) -> bool:
+    """True iff some power of the square 0/1 pattern is entrywise positive;
+    by Wielandt's bound (k-1)^2 + 1, repeated squaring up to it decides."""
+    power = np.asarray(pattern) != 0
+    k = power.shape[0]
+    exponent = 1
+    while exponent < (k - 1) * (k - 1) + 1:
+        power = (power.astype(np.int64) @ power.astype(np.int64)) > 0
+        exponent *= 2
+    return bool(power.all())
 
-    Tested via matrix positivity: some power of the adjacency pattern of a
-    strongly connected aperiodic graph is entrywise positive, and the
-    Wielandt bound caps the exponent at (k-1)^2 + 1 <= k^2.
-    """
+
+def is_aperiodic(g: DirectedGraph) -> bool:
+    """True iff the gcd of cycle lengths is 1 (the pattern is primitive)."""
     require_valid(g)
-    a = g.adjacency() > 0
-    power = a.copy()
-    for _ in range(g.vertex_count * g.vertex_count):
-        if power.all():
-            return True
-        power = (power.astype(np.int64) @ a.astype(np.int64)) > 0
-    return False
+    return is_primitive_pattern(g.adjacency())
 
 
 def canonical_form(g: DirectedGraph, vertex_sequence) -> PrimeCycle:

@@ -21,13 +21,12 @@ from scipy.spatial import ConvexHull
 from .errors import (
     DegenerateModel,
     NonConvergence,
-    NotPrimitive,
     OutsideCone,
     SingularHessian,
 )
 from .graphs import DirectedGraph, enumerate_prime_cycles
 from .weights import WeightSystem, birkhoff
-from .thermo import flow_pressure, pressure_gradient, pressure_hessian
+from .thermo import edge_arrays, pressure_jet
 
 
 class Membership(enum.Enum):
@@ -60,6 +59,10 @@ class DirectionData:
 
 
 _COLLINEARITY_TOL = 1e-12
+_TOL = 1e-8            # solve_u: sup-norm of grad e at the solution
+_MAX_ITER = 200        # solve_u: Newton steps before giving up
+_DIVERGE_NORM = 1e3    # solve_u: |u| beyond which rho is outside
+_FLAT_TOL = 1e-13      # solve_u: predicted decrease below e's resolution
 
 
 def direction_hull(g: DirectedGraph, w: WeightSystem, n: int) -> DirectionHull:
@@ -127,108 +130,90 @@ def hull_contains(points, rho, tol: float = 1e-9) -> bool:
     return bool(res.success) and float(res.fun) <= tol
 
 
-def solve_u(
-    g: DirectedGraph,
-    w: WeightSystem,
-    rho,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    diverge_norm: float = 1e3,
-) -> DirectionData:
+def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
     """Dual parameter u(rho) by Newton descent on e(u) = pressure - <u, rho>.
 
-    Starts from u = 0 with Armijo backtracking.  Raises OutsideCone when
-    the iteration leaves the diverge_norm ball or the line search stalls
-    with a gradient bounded away from zero, and DegenerateModel when the
-    pressure Hessian is singular at the origin (empty interior).
+    Starts from u = 0 with Armijo backtracking; each trial point is one
+    ``pressure_jet`` solve, which also gives the next Newton step.  Once the
+    predicted decrease is below e's float resolution, a step that lowers
+    the gradient residual is accepted.  Raises OutsideCone when |u| passes
+    _DIVERGE_NORM or the line search stalls with a gradient bounded away
+    from zero, and DegenerateModel when the pressure Hessian is singular
+    at the origin (empty interior).
     """
     rho = np.asarray(rho, dtype=float).reshape(-1)
     d = w.dimension
     if rho.shape != (d,):
         raise ValueError(f"rho has length {rho.shape[0]}, expected {d}")
+    r, c = edge_arrays(g, w)
 
-    h0 = pressure_hessian(g, w, np.zeros(d))
-    eigs = np.linalg.eigvalsh(h0)
+    u = np.zeros(d)
+    jet = pressure_jet(r, c, u)
+    eigs = np.linalg.eigvalsh(jet.hessian)
     if eigs.min() <= 1e-10 * max(1.0, eigs.max()):
         raise DegenerateModel(
             "pressure Hessian singular at 0; direction set has empty interior"
         )
-
-    u = np.zeros(d)
-    e_val = flow_pressure(g, w, u)  # <u, rho> = 0 at the start
-    grad = pressure_gradient(g, w, u) - rho
-    for _ in range(max_iter):
-        try:
-            hess = pressure_hessian(g, w, u)
-        except (OverflowError, NotPrimitive, NonConvergence) as exc:
-            raise OutsideCone(
-                f"pressure Hessian degenerated at |u| = {np.linalg.norm(u):.3g}"
-            ) from exc
-        if float(np.abs(grad).max()) <= tol:
+    e_val = jet.pressure  # <u, rho> = 0 at the start
+    grad = jet.gradient - rho
+    for _ in range(_MAX_ITER):
+        residual = float(np.abs(grad).max())
+        if residual <= _TOL:
             # a genuine interior minimum has a nondegenerate Hessian; a
             # vanishing one means the iterate ran off toward the boundary
             # and the gradient decayed along the way
-            if float(np.linalg.eigvalsh(hess).min()) <= 10.0 * tol:
+            if float(np.linalg.eigvalsh(jet.hessian).min()) <= 10.0 * _TOL:
                 raise OutsideCone(
                     "dual Hessian degenerate at the solution; direction "
                     "numerically indistinguishable from the boundary"
                 )
-            return _direction_data(g, w, rho, u)
+            try:
+                hess_h = -np.linalg.inv(jet.hessian)
+            except np.linalg.LinAlgError as exc:
+                raise SingularHessian(str(exc)) from exc
+            return DirectionData(
+                rho=tuple(float(x) for x in rho),
+                u=tuple(float(x) for x in u),
+                entropy=float(e_val),
+                pressure_at_u=float(jet.pressure),
+                hessian_h=hess_h,
+            )
         try:
-            step = np.linalg.solve(hess, -grad)
+            step = np.linalg.solve(jet.hessian, -grad)
         except np.linalg.LinAlgError:
-            step = np.linalg.solve(hess + 1e-10 * np.eye(d), -grad)
+            step = np.linalg.solve(jet.hessian + 1e-10 * np.eye(d), -grad)
         slope = float(grad @ step)
         if slope >= 0.0:  # not a descent direction; regularize
-            step = np.linalg.solve(hess + 1e-10 * np.eye(d), -grad)
+            step = np.linalg.solve(jet.hessian + 1e-10 * np.eye(d), -grad)
             slope = float(grad @ step)
+        flat = -slope <= _FLAT_TOL * max(1.0, abs(e_val))
         t = 1.0
         while t >= 1e-12:
             u_new = u + t * step
             try:
-                e_new = flow_pressure(g, w, u_new) - float(u_new @ rho)
-            except (OverflowError, NotPrimitive, NonConvergence):
+                jet_new = pressure_jet(r, c, u_new)
+            except NonConvergence:
                 # transfer matrix under/overflowed: step far too long
                 t *= 0.5
                 continue
-            if e_new <= e_val + 1e-4 * t * slope:
+            e_new = jet_new.pressure - float(u_new @ rho)
+            grad_new = jet_new.gradient - rho
+            if e_new <= e_val + 1e-4 * t * slope or (
+                flat and float(np.abs(grad_new).max()) < residual
+            ):
                 break
             t *= 0.5
         else:
             raise OutsideCone(
-                f"line search stalled with gradient norm {np.abs(grad).max():.3g}"
+                f"line search stalled with gradient norm {residual:.3g}"
             )
-        u = u_new
-        e_val = e_new
-        if float(np.linalg.norm(u)) > diverge_norm:
+        u, jet, e_val, grad = u_new, jet_new, e_new, grad_new
+        if float(np.linalg.norm(u)) > _DIVERGE_NORM:
             raise OutsideCone(
-                f"dual parameter diverged (|u| > {diverge_norm:g}); "
+                f"dual parameter diverged (|u| > {_DIVERGE_NORM:g}); "
                 "direction outside the attainable set"
             )
-        try:
-            grad = pressure_gradient(g, w, u) - rho
-        except (OverflowError, NotPrimitive, NonConvergence) as exc:
-            raise OutsideCone(
-                f"pressure evaluation degenerated at |u| = {np.linalg.norm(u):.3g}"
-            ) from exc
-    raise OutsideCone(f"no convergence in {max_iter} Newton steps")
-
-
-def _direction_data(g, w, rho, u) -> DirectionData:
-    p = flow_pressure(g, w, u)
-    hess_p = pressure_hessian(g, w, u)
-    try:
-        hess_h = -np.linalg.inv(hess_p)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHessian(str(exc)) from exc
-    return DirectionData(
-        rho=tuple(float(x) for x in rho),
-        u=tuple(float(x) for x in u),
-        entropy=float(p - np.dot(u, rho)),
-        pressure_at_u=float(p),
-        hessian_h=hess_h,
-    )
+    raise OutsideCone(f"no convergence in {_MAX_ITER} Newton steps")
 
 
 def entropy_hessian(dd: DirectionData) -> np.ndarray:

@@ -6,7 +6,8 @@ of the vertex shift is the log of the Perron eigenvalue of the weighted
 adjacency matrix M(u, s), and the pressure of the suspension flow at u is
 the unique root s* of log lambda(M(u, s)) = 0 (the roof is strictly
 positive, so s -> log lambda is strictly decreasing).  The equilibrium
-measure is the Markov chain built from the Perron eigendata at s*.
+measure is the Markov chain built from the Perron eigendata at s*; one
+root solve gives the pressure, its gradient and its closed-form Hessian.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     NonConvergence,
     NotPrimitive,
 )
-from .graphs import DirectedGraph, Edge, require_valid
+from .graphs import DirectedGraph, Edge, is_primitive_pattern, require_valid
 from .weights import WeightSystem
 
 @dataclass(frozen=True)
@@ -49,36 +50,38 @@ class MarkovMeasure:
     transition: np.ndarray
     edge_measure: dict[Edge, float]
 
-    def mean_roof(self, w: WeightSystem) -> float:
-        return sum(m * w.roof[e] for e, m in self.edge_measure.items())
+
+def edge_arrays(g: DirectedGraph, w: WeightSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Roof R[i-1, j-1] and class C[i-1, j-1, :] of each edge i -> j of a
+    valid graph, 0 off the edges; R > 0 is the adjacency pattern."""
+    require_valid(g)
+    k = g.vertex_count
+    r = np.zeros((k, k))
+    c = np.zeros((k, k, w.dimension))
+    for (i, j) in g.edge_set:
+        r[i - 1, j - 1] = w.roof[(i, j)]
+        c[i - 1, j - 1] = w.classes[(i, j)]
+    return r, c
+
+
+def _as_u(c: np.ndarray, u) -> np.ndarray:
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.shape != (c.shape[2],):
+        raise DimensionMismatch(
+            f"u has length {u.shape[0]}, class dimension is {c.shape[2]}"
+        )
+    return u
+
+
+def _transfer(r: np.ndarray, cu: np.ndarray, s: float) -> np.ndarray:
+    with np.errstate(over="ignore", under="ignore"):
+        return np.where(r > 0, np.exp(cu - s * r), 0.0)
 
 
 def transfer_matrix(g: DirectedGraph, w: WeightSystem, u, s: float) -> np.ndarray:
     """M[i-1, j-1] = exp(<u, class(i->j)> - s * roof(i->j)) on edges, 0 off."""
-    require_valid(g)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape != (w.dimension,):
-        raise DimensionMismatch(
-            f"u has length {u.shape[0]}, class dimension is {w.dimension}"
-        )
-    k = g.vertex_count
-    m = np.zeros((k, k))
-    for (i, j) in g.edge_set:
-        m[i - 1, j - 1] = math.exp(
-            float(np.dot(u, w.classes[(i, j)])) - s * w.roof[(i, j)]
-        )
-    return m
-
-
-def _is_primitive_pattern(pattern: np.ndarray) -> bool:
-    k = pattern.shape[0]
-    power = pattern.copy()
-    bound = (k - 1) * (k - 1) + 1
-    for _ in range(bound):
-        if power.all():
-            return True
-        power = (power.astype(np.int64) @ pattern.astype(np.int64)) > 0
-    return False
+    r, c = edge_arrays(g, w)
+    return _transfer(r, c @ _as_u(c, u), s)
 
 
 def _dominant_pair(m: np.ndarray):
@@ -91,6 +94,17 @@ def _dominant_pair(m: np.ndarray):
     vals, vecs = np.linalg.eig(m)
     top = int(np.argmax(vals.real))
     return float(vals[top].real), np.abs(vecs[:, top])
+
+
+def _perron_data(m: np.ndarray) -> PerronData:
+    lam, right = _dominant_pair(m)
+    _, left = _dominant_pair(m.T)
+    right = right / right.max()
+    left = left / float(left @ right)
+    if not (math.isfinite(lam) and lam > 0.0 and np.isfinite(left).all()
+            and (right > 0.0).all() and (left > 0.0).all()):
+        raise NonConvergence("Perron data lost finiteness or positivity")
+    return PerronData(lam, right, left)
 
 
 def perron(m) -> PerronData:
@@ -109,16 +123,9 @@ def perron(m) -> PerronData:
         raise ValueError("matrix must be nonnegative")
     if not np.isfinite(m).all():
         raise NonConvergence("matrix has non-finite entries (over/underflow)")
-    if not _is_primitive_pattern(m > 0):
+    if not is_primitive_pattern(m > 0):
         raise NotPrimitive("support pattern is periodic or not strongly connected")
-    lam, right = _dominant_pair(m)
-    _, left = _dominant_pair(m.T)
-    right = right / right.max()
-    left = left / float(left @ right)
-    if not (math.isfinite(lam) and lam > 0.0 and np.isfinite(left).all()
-            and (right > 0.0).all() and (left > 0.0).all()):
-        raise NonConvergence("Perron data lost finiteness or positivity")
-    return PerronData(lam, right, left)
+    return _perron_data(m)
 
 
 def shift_pressure(g: DirectedGraph, w: WeightSystem, u, s: float) -> float:
@@ -126,63 +133,48 @@ def shift_pressure(g: DirectedGraph, w: WeightSystem, u, s: float) -> float:
     return math.log(perron(transfer_matrix(g, w, u, s)).eigenvalue)
 
 
-def _edge_measure_from(g, m: np.ndarray, pd: PerronData) -> dict[Edge, float]:
-    lam = pd.eigenvalue
-    l, r = pd.left, pd.right
-    return {
-        (i, j): float(l[i - 1] * m[i - 1, j - 1] * r[j - 1] / lam)
-        for (i, j) in g.edge_set
-    }
+def _flow_root(r: np.ndarray, c: np.ndarray, u: np.ndarray):
+    """Root s* of log lambda(M(u, s)) = 0 with the eigen-chain (P, pi) there.
 
-
-def _flow_root(g: DirectedGraph, w: WeightSystem, u, *, tol: float = 1e-10):
-    """Root s* of log lambda(M(u, s)) = 0 with its final eigendata.
-
-    Safeguarded Newton inside a sign-change bracket.  The derivative of
-    log lambda in s is minus the expected roof per step under the
-    eigen-chain, which also prices the Newton step.
+    Safeguarded Newton inside a sign-change bracket; the derivative of log
+    lambda in s is minus the expected roof per step under the eigen-chain.
+    The pattern R > 0 is checked for aperiodicity once (a periodic graph
+    raises NotPrimitive); an edge entry of M that under/overflows to 0 or
+    inf is a numerical refusal (NonConvergence).
     """
-    require_valid(g)
-    u = np.asarray(u, dtype=float).reshape(-1)
+    edge = r > 0
+    if not is_primitive_pattern(edge):
+        raise NotPrimitive("graph is periodic (cycle lengths have gcd > 1)")
+    cu = c @ u
 
     def eval_at(s):
-        m = transfer_matrix(g, w, u, s)
-        pd = perron(m)
-        em = _edge_measure_from(g, m, pd)
-        slope = -sum(em[e] * w.roof[e] for e in em)
-        return math.log(pd.eigenvalue), slope, m, pd
+        m = _transfer(r, cu, s)
+        on_edges = m[edge]
+        if not (np.isfinite(on_edges).all() and (on_edges > 0.0).all()):
+            raise NonConvergence(
+                f"transfer matrix entries under/overflow at s = {s:.6g}"
+            )
+        pd = _perron_data(m)
+        p = m * pd.right[None, :] / (pd.eigenvalue * pd.right[:, None])
+        pi = pd.left * pd.right  # l . r = 1 by normalization
+        slope = -float((pi[:, None] * p * r).sum())
+        return math.log(pd.eigenvalue), slope, p, pi
 
-    # Row-sum bounds give a bracket in closed form: below lo every row sum
-    # is >= 1 (some term >= 1), above hi every row sum is <= 1.
-    k = g.vertex_count
-    per_row = {i: [] for i in range(1, k + 1)}
-    for (i, j) in g.edge_set:
-        per_row[i].append(float(np.dot(u, w.classes[(i, j)])) / w.roof[(i, j)])
-    lo = min(max(vals) for vals in per_row.values())
-    hi = max(
-        (float(np.dot(u, w.classes[e])) + math.log(k)) / w.roof[e]
-        for e in g.edge_set
-    )
-    step = 1.0
-    while eval_at(lo)[0] < 0.0:
-        hi = min(hi, lo)
-        lo -= step
-        step *= 2.0
-    step = 1.0
-    while eval_at(hi)[0] > 0.0:
-        lo = max(lo, hi)
-        hi += step
-        step *= 2.0
-
+    # Row-sum bounds give the bracket in closed form: at lo every row has
+    # a term >= 1, so lambda >= 1; at hi every term is <= 1/k, so
+    # lambda <= 1.
+    roof = np.where(edge, r, 1.0)
+    lo = float(np.where(edge, cu / roof, -np.inf).max(axis=1).min())
+    hi = float(np.where(edge, (cu + math.log(len(r))) / roof, -np.inf).max())
     s = 0.5 * (lo + hi)
     for _ in range(200):
-        f, slope, m, pd = eval_at(s)
+        f, slope, p, pi = eval_at(s)
         if f > 0.0:
             lo = s
         else:
             hi = s
         if abs(f) <= 1e-14 * max(1.0, abs(slope)):
-            return s, m, pd
+            return s, p, pi
         s_new = s - f / slope
         if not (lo < s_new < hi):
             s_new = 0.5 * (lo + hi)
@@ -192,9 +184,45 @@ def _flow_root(g: DirectedGraph, w: WeightSystem, u, *, tol: float = 1e-10):
     raise NonConvergence("pressure root iteration did not converge")
 
 
-def flow_pressure(g: DirectedGraph, w: WeightSystem, u, *, tol: float = 1e-10) -> float:
+@dataclass(frozen=True)
+class PressureJet:
+    """Flow pressure at u with its gradient and Hessian, and the eigen-chain
+    (stationary vector, transition matrix) of the equilibrium state."""
+
+    pressure: float
+    gradient: np.ndarray
+    hessian: np.ndarray
+    stationary: np.ndarray
+    transition: np.ndarray
+
+
+def pressure_jet(r: np.ndarray, c: np.ndarray, u) -> PressureJet:
+    """Pressure, gradient and Hessian at u from one flow-root solve on the
+    edge arrays of ``edge_arrays``.
+
+    With mu the edge measure of the eigen-chain, the gradient is
+    E_mu[c] / E_mu[r].  The Hessian is Sigma(g) / E_mu[r] for the centred
+    edge function g = c - grad * r, where Sigma is its asymptotic
+    covariance along the chain: E_mu[g g^T] + E_mu[g (Z h)(head)^T] + its
+    transpose, with Z = (I - P + 1 pi)^-1 and h(a) = sum_b P[a,b] g(a,b)
+    (Parry & Pollicott, Asterisque 187-188).  It is symmetrised exactly.
+    """
+    u = _as_u(c, u)
+    s, p, pi = _flow_root(r, c, u)
+    mu = pi[:, None] * p
+    mean_roof = float((mu * r).sum())
+    grad = np.einsum("ab,abd->d", mu, c) / mean_roof
+    g = c - grad * r[:, :, None]  # 0 off the edges, where c and r are
+    zh = np.linalg.solve(np.eye(len(pi)) - p + pi[None, :],
+                         np.einsum("ab,abd->ad", p, g))
+    cross = np.einsum("ab,abi,bj->ij", mu, g, zh)
+    hess = (np.einsum("ab,abi,abj->ij", mu, g, g) + cross + cross.T) / mean_roof
+    return PressureJet(s, grad, 0.5 * (hess + hess.T), pi, p)
+
+
+def flow_pressure(g: DirectedGraph, w: WeightSystem, u) -> float:
     """Suspension pressure at u: the s with shift_pressure(u, s) = 0."""
-    return _flow_root(g, w, u, tol=tol)[0]
+    return pressure_jet(*edge_arrays(g, w), u).pressure
 
 
 def equilibrium_measure(g: DirectedGraph, w: WeightSystem, u) -> MarkovMeasure:
@@ -203,11 +231,8 @@ def equilibrium_measure(g: DirectedGraph, w: WeightSystem, u) -> MarkovMeasure:
     Built at s* = flow_pressure(u) from the eigendata: P[i,j] =
     M[i,j] r[j] / (lambda r[i]), pi[i] = l[i] r[i] / (l . r).
     """
-    _, m, pd = _flow_root(g, w, u)
-    lam, r, l = pd.eigenvalue, pd.right, pd.left
-    k = g.vertex_count
-    p = m * r[None, :] / (lam * r[:, None])
-    pi = l * r  # l . r = 1 by normalization
+    jet = pressure_jet(*edge_arrays(g, w), u)
+    pi, p = jet.stationary, jet.transition
     edge_measure = {
         (i, j): float(pi[i - 1] * p[i - 1, j - 1]) for (i, j) in g.edge_set
     }
@@ -216,30 +241,14 @@ def equilibrium_measure(g: DirectedGraph, w: WeightSystem, u) -> MarkovMeasure:
 
 def pressure_gradient(g: DirectedGraph, w: WeightSystem, u) -> np.ndarray:
     """Mean class per unit length under the equilibrium measure at u."""
-    _, m, pd = _flow_root(g, w, u)
-    em = _edge_measure_from(g, m, pd)
-    d = w.dimension
-    num = np.zeros(d)
-    den = 0.0
-    for e, weight in em.items():
-        num += weight * np.asarray(w.classes[e], dtype=float)
-        den += weight * w.roof[e]
-    return num / den
+    return pressure_jet(*edge_arrays(g, w), u).gradient
 
 
-def pressure_hessian(g: DirectedGraph, w: WeightSystem, u, *, step: float | None = None) -> np.ndarray:
-    """Central finite differences of the pressure gradient, symmetrized."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    d = w.dimension
-    h = np.empty(d)
-    for i in range(d):
-        h[i] = step if step is not None else max(1e-5, 1e-5 * abs(u[i]))
-    cols = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h[i]
-        cols[:, i] = (pressure_gradient(g, w, u + e) - pressure_gradient(g, w, u - e)) / (2 * h[i])
-    return 0.5 * (cols + cols.T)
+def pressure_hessian(g: DirectedGraph, w: WeightSystem, u) -> np.ndarray:
+    """Closed-form pressure Hessian at u: the asymptotic covariance of the
+    centred class per unit length (see ``pressure_jet``), exactly
+    symmetric."""
+    return pressure_jet(*edge_arrays(g, w), u).hessian
 
 
 def integrate_observable(mm: MarkovMeasure, w: WeightSystem, phi: dict) -> float:

@@ -57,6 +57,11 @@ class TestPressure:
         _, out2, _ = run(capsys, "pressure", "bench3", "--u", "0.25,-0.5")
         assert out1 == out2
 
+    def test_underflow_exits_3(self, capsys):
+        code, out, err = run(capsys, "pressure", "full2", "--u", "800")
+        assert code == 3 and out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err
+
 
 class TestEntropy:
     def test_full2_row(self, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitflow import (
     DegenerateModel,
@@ -20,6 +22,8 @@ from orbitflow import (
     pressure_hessian,
     solve_u,
 )
+
+from conftest import random_strong_graph, random_weights
 
 FULL2 = DirectedGraph(2, ((1, 1), (1, 2), (2, 1), (2, 2)))
 GM_GRAPH = DirectedGraph(2, ((1, 1), (1, 2), (2, 1)))
@@ -113,6 +117,38 @@ class TestSolveU:
             rho = pressure_gradient(g, w, u)
             dd = solve_u(g, w, rho)
             assert np.abs(np.array(dd.u) - np.array(u)).max() <= 1e-6
+
+    def test_roundtrip_where_armijo_sees_only_float_noise(self, bench3):
+        # the last Newton step lands on u* but changes e by float noise
+        # alone; the line search must still accept it
+        g, w = bench3.graph, bench3.weights
+        for rho, u in (
+            ((0.14356098992698427, 0.09085056902525078),
+             (-0.38384415040922704, 0.32453489211577413)),
+            ((1.2721180194170565, 0.0019624854338949355),
+             (0.856066350855182, 0.1306884008177518)),
+        ):
+            dd = solve_u(g, w, rho)
+            assert np.abs(np.array(dd.u) - np.array(u)).max() <= 1e-6
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4),
+           d=st.integers(1, 2), data=st.data())
+    def test_roundtrip_on_random_models(self, seed, k, d, data):
+        rng = np.random.default_rng(seed)
+        g = random_strong_graph(rng, k, ensure_aperiodic=True)
+        w = random_weights(rng, g, d)
+        assume(np.linalg.eigvalsh(pressure_hessian(g, w, np.zeros(d))).min() > 1e-2)
+        u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        h = pressure_hessian(g, w, u)
+        assert np.abs(h - h.T).max() == 0.0
+        eigs = np.linalg.eigvalsh(h)
+        assert eigs.min() >= -1e-12
+        # the solve stops at a gradient residual of 1e-8, which pins u to
+        # 1e-6 only where the Hessian at u is that well conditioned
+        assume(eigs.min() > 1e-2)
+        dd = solve_u(g, w, pressure_gradient(g, w, u))
+        assert np.abs(np.array(dd.u) - u).max() <= 1e-6
 
     def test_duality_inequality(self):
         w = into2()

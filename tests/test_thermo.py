@@ -161,6 +161,17 @@ class TestFlowPressure:
         s = flow_pressure(g, w, u)
         assert shift_pressure(g, w, u, s) == pytest.approx(0.0, abs=1e-11)
 
+    def test_periodic_graph_rejected(self):
+        cycle2 = DirectedGraph(2, ((1, 2), (2, 1)))
+        w = WeightSystem(b=1, meridians=0, roof={e: 1.0 for e in cycle2.edges},
+                         classes={(1, 2): (1,), (2, 1): (0,)})
+        with pytest.raises(NotPrimitive):
+            flow_pressure(cycle2, w, [0.0])
+
+    def test_underflowed_entries_do_not_converge(self):
+        with pytest.raises(NonConvergence):
+            flow_pressure(FULL2, into2(), [800.0])
+
 
 class TestGradient:
     def test_symmetry_at_zero(self):
@@ -215,6 +226,31 @@ class TestHessian:
         w = random_weights(rng, g, 2)
         h = pressure_hessian(g, w, [0.2, -0.1])
         assert np.abs(h - h.T).max() == 0.0
+
+    @staticmethod
+    def central_differences(g, w, u, h=1e-5):
+        u = np.asarray(u, dtype=float)
+        d = u.size
+        cols = np.empty((d, d))
+        for i in range(d):
+            e = np.zeros(d)
+            e[i] = h * max(1.0, abs(u[i]))
+            cols[:, i] = (pressure_gradient(g, w, u + e)
+                          - pressure_gradient(g, w, u - e)) / (2 * e[i])
+        return cols
+
+    def test_closed_form_matches_gradient_differences(self, bench3):
+        cases = [(bench3.graph, bench3.weights, u)
+                 for u in ([0.0, 0.0], [1.5, -2.0], [-0.25, 0.0], [0.4, 0.7])]
+        rng = np.random.default_rng(73)
+        for _ in range(8):
+            d = int(rng.integers(1, 4))
+            g = random_strong_graph(rng, int(rng.integers(2, 6)), ensure_aperiodic=True)
+            cases.append((g, random_weights(rng, g, d), rng.uniform(-1, 1, size=d)))
+        for g, w, u in cases:
+            fd = self.central_differences(g, w, u)
+            h = pressure_hessian(g, w, u)
+            assert np.abs(h - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1e-12)
 
     def test_convexity_along_segments(self):
         rng = np.random.default_rng(59)
