@@ -24,8 +24,9 @@ from .counting import (
     margulis_total,
     predict_count,
     sweep,
+    target_class,
 )
-from .errors import OrbitflowError
+from .errors import InvalidArgument, MissingEdge, OrbitflowError
 from .graphs import validate_graph
 from .legendre import direction_hull, entropy_hessian, solve_u
 from .models import load_model, serialize_model
@@ -43,19 +44,30 @@ def _fmt_vec(vec) -> str:
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise InvalidArgument(f"expected comma-separated reals, got {text!r}") from None
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InvalidArgument(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_obs(text: str) -> dict:
     out = {}
     for token in text.split(","):
-        edge_part, value = token.split("=", 1)
-        a, b = edge_part.split(">", 1)
-        out[(int(a), int(b))] = float(value)
+        try:
+            edge_part, value = token.split("=", 1)
+            a, b = edge_part.split(">", 1)
+            out[(int(a), int(b))] = float(value)
+        except ValueError:
+            raise InvalidArgument(
+                f"expected edge values like 1>2=1.0, got {token!r}"
+            ) from None
     return out
 
 
@@ -124,12 +136,7 @@ def cmd_count(args) -> int:
     m = load_model(args.model)
     q = _query_from(args, m)
     exact = exact_window_count(m.graph, m.weights, q, budget_cap=args.budget)
-    target = tuple(
-        f + a
-        for f, a in zip(
-            (int(np.floor(args.T * r)) for r in q.rho), q.alpha
-        )
-    )
+    target = target_class(m.weights, q)
     _emit(
         "T,delta,target_class,exact",
         [[_fmt(q.T), _fmt(q.delta), _fmt_vec(target), str(exact)]],
@@ -142,10 +149,7 @@ def cmd_predict(args) -> int:
     q = _query_from(args, m)
     dd = solve_u(m.graph, m.weights, q.rho)
     predicted = predict_count(m.graph, m.weights, dd, q)
-    target = tuple(
-        f + a
-        for f, a in zip((int(np.floor(args.T * r)) for r in q.rho), q.alpha)
-    )
+    target = target_class(m.weights, q)
     _emit(
         "T,delta,target_class,predicted",
         [[_fmt(q.T), _fmt(q.delta), _fmt_vec(target), _fmt(predicted)]],
@@ -221,8 +225,12 @@ def cmd_equidist(args) -> int:
     m = load_model(args.model)
     q = _query_from(args, m)
     dd = solve_u(m.graph, m.weights, q.rho)
+    obs = _parse_obs(args.obs)
+    unknown = set(obs) - m.graph.edge_set
+    if unknown:
+        raise MissingEdge(f"observable given on non-edges {sorted(unknown)}")
     phi = {e: 0.0 for e in m.graph.edges}
-    phi.update(_parse_obs(args.obs))
+    phi.update(obs)
     res = equidistribution_test(m.graph, m.weights, dd, q, phi, budget_cap=args.budget)
     _emit(
         "empirical,expected,n_orbits",

@@ -1,11 +1,12 @@
 """Periodic-orbit counting by length window and class.
 
-Exact counts come from the canonical-cycle depth-first search, pruned by
-the length bound; the admissible symbolic depth floor(T / r_min) is
-capped, and counts beyond the cap are refused rather than estimated.  An
-independent oracle for unit roofs counts closed walks with class tracked
-through matrix powers over exponent maps and recovers prime-cycle counts
-by Mobius inversion over simultaneous divisors of (period, class).
+Exact counts are numpy reductions over one canonical-cycle scan
+(``graphs.scan_cycles``), pruned by the length bound; the admissible
+symbolic depth floor(T / r_min) is capped, and counts beyond the cap are
+refused rather than estimated.  An independent oracle for unit roofs
+counts closed walks with class tracked through matrix powers over
+exponent maps and recovers prime-cycle counts by Mobius inversion over
+simultaneous divisors of (period, class).
 
 The asymptotic predictor evaluates the window-count growth law for a
 direction rho inside the attainable set: a Gaussian prefactor from the
@@ -32,11 +33,12 @@ from .errors import (
     DimensionMismatch,
     EmptySelection,
     InfiniteQuotient,
+    InvalidArgument,
     MissingEdgeValue,
     MissingEdgeWeight,
     RoofNotUnit,
 )
-from .graphs import DirectedGraph, PrimeCycle, scan_prime_cycles
+from .graphs import CycleScan, DirectedGraph, PrimeCycle, scan_cycles
 from .legendre import DirectionData, entropy_hessian
 from .thermo import equilibrium_measure, flow_pressure, integrate_observable
 from .weights import WeightSystem, birkhoff, smith_decomposition
@@ -57,7 +59,7 @@ class CountQuery:
         object.__setattr__(self, "alpha", tuple(int(x) for x in self.alpha))
         object.__setattr__(self, "removed", tuple(self.removed))
         if not (0.0 < self.delta <= self.T):
-            raise ValueError(f"need 0 < delta <= T, got delta={self.delta}, T={self.T}")
+            raise InvalidArgument(f"need 0 < delta <= T, got delta={self.delta}, T={self.T}")
         if len(self.rho) != len(self.alpha):
             raise DimensionMismatch("rho and alpha must have the same length")
 
@@ -98,6 +100,16 @@ def floor_class(rho, T: float) -> tuple[int, ...]:
     return tuple(int(math.floor(T * float(x))) for x in rho)
 
 
+def target_class(w: WeightSystem, q: CountQuery) -> tuple[int, ...]:
+    """The class q counts, floor(T rho) + alpha; rho must have the class
+    dimension of w."""
+    if len(q.rho) != w.dimension:
+        raise DimensionMismatch(
+            f"rho has length {len(q.rho)}, class dimension is {w.dimension}"
+        )
+    return tuple(f + a for f, a in zip(floor_class(q.rho, q.T), q.alpha))
+
+
 def _check_weights_cover(g: DirectedGraph, w: WeightSystem) -> None:
     missing = g.edge_set - set(w.roof)
     if missing:
@@ -114,10 +126,27 @@ def _depth_cap(w: WeightSystem, max_len: float, budget_cap: int) -> int:
     return max(depth, 1)
 
 
-def _removed_index(removed) -> tuple[set, int]:
-    rem = {(c.period, c.vertices) for c in removed}
-    max_p = max((c.period for c in removed), default=0)
-    return rem, max_p
+def _scan(
+    g: DirectedGraph, w: WeightSystem, max_len: float, removed, budget_cap: int,
+    *, classes: bool = True, phi: dict | None = None, words: bool = False,
+) -> CycleScan:
+    """Prime cycles of length <= max_len, removed ones excluded."""
+    _check_weights_cover(g, w)
+    return scan_cycles(
+        g, n_max=_depth_cap(w, max_len, budget_cap), edge_length=w.roof, max_len=max_len,
+        edge_vector=w.classes if classes else None, edge_value=phi,
+        exclude=[c.vertices for c in removed], words=words,
+    )
+
+
+def _in_window(lengths, classes, T, delta, target) -> np.ndarray:
+    """Mask of the cycles with length in (T - delta, T] and class target."""
+    target = np.asarray(target, dtype=np.int64)
+    if target.shape != classes.shape[1:]:
+        raise DimensionMismatch(
+            f"target has length {target.size}, class dimension is {classes.shape[1]}"
+        )
+    return (lengths > T - delta) & (lengths <= T) & (classes == target).all(axis=1)
 
 
 def exact_window_count(
@@ -125,25 +154,9 @@ def exact_window_count(
 ) -> int:
     """Number of prime cycles (not in q.removed) with length in
     (T - delta, T] and class floor(T rho) + alpha."""
-    _check_weights_cover(g, w)
-    target = tuple(f + a for f, a in zip(floor_class(q.rho, q.T), q.alpha))
-    depth = _depth_cap(w, q.T, budget_cap)
-    rem, max_p = _removed_index(q.removed)
-    t_lo = q.T - q.delta
-    count = 0
-
-    def visit(word, t, length, cls):
-        nonlocal count
-        if length <= t_lo or cls != target:
-            return
-        if rem and t <= max_p and (t, tuple(word[:t])) in rem:
-            return
-        count += 1
-
-    scan_prime_cycles(
-        g, visit, n_max=depth, edge_length=w.roof, max_len=q.T, edge_vector=w.classes
-    )
-    return count
+    target = target_class(w, q)
+    scan = _scan(g, w, q.T, q.removed, budget_cap)
+    return window_count_from_table(scan.length, scan.classes, q.T, q.delta, target)
 
 
 def cycle_table(
@@ -161,35 +174,14 @@ def cycle_table(
     Returns (lengths, classes) as numpy arrays; one enumeration pass can
     then serve many window/class queries.
     """
-    _check_weights_cover(g, w)
-    depth = _depth_cap(w, max_len, budget_cap)
-    rem, max_p = _removed_index(removed)
-    lengths: list[float] = []
-    classes: list[tuple[int, ...]] = []
-
-    def visit(word, t, length, cls):
-        if length <= min_len:
-            return
-        if rem and t <= max_p and (t, tuple(word[:t])) in rem:
-            return
-        lengths.append(length)
-        classes.append(cls)
-
-    scan_prime_cycles(
-        g, visit, n_max=depth, edge_length=w.roof, max_len=max_len, edge_vector=w.classes
-    )
-    return (
-        np.asarray(lengths, dtype=float),
-        np.asarray(classes, dtype=np.int64).reshape(len(lengths), w.dimension),
-    )
+    scan = _scan(g, w, max_len, removed, budget_cap)
+    keep = scan.length > min_len
+    return scan.length[keep], scan.classes[keep]
 
 
 def window_count_from_table(lengths, classes, T, delta, target) -> int:
-    target = np.asarray(target, dtype=np.int64)
-    mask = (lengths > T - delta) & (lengths <= T)
-    if not mask.any():
-        return 0
-    return int(((classes[mask] == target).all(axis=1)).sum())
+    """Number of table rows with length in (T - delta, T] and class target."""
+    return int(_in_window(lengths, classes, T, delta, target).sum())
 
 
 def margulis_total(
@@ -203,18 +195,7 @@ def margulis_total(
     step eps the ratio exact / reference, taken at T in eps * Z, tends to
     h eps / (1 - e^(-h eps)) instead: 2 log 2 for full2.
     """
-    _check_weights_cover(g, w)
-    depth = _depth_cap(w, T, budget_cap)
-    rem, max_p = _removed_index(removed)
-    count = 0
-
-    def visit(word, t, length, cls):
-        nonlocal count
-        if rem and t <= max_p and (t, tuple(word[:t])) in rem:
-            return
-        count += 1
-
-    scan_prime_cycles(g, visit, n_max=depth, edge_length=w.roof, max_len=T)
+    count = len(_scan(g, w, T, removed, budget_cap, classes=False).period)
     h = flow_pressure(g, w, np.zeros(w.dimension))
     return MargulisCount(count, math.exp(h * T) / (h * T))
 
@@ -375,8 +356,9 @@ def predict_count(
     where the window factor is (1 - e^(-p delta)) / p at p = pressure at
     u(rho), continuously extended to delta at p = 0.
     """
+    floor = np.subtract(target_class(w, q), q.alpha)
     if tuple(round(x, 12) for x in dd.rho) != tuple(round(float(x), 12) for x in q.rho):
-        raise ValueError("q.rho does not match dd.rho")
+        raise InvalidArgument("q.rho does not match dd.rho")
     d = w.dimension
     hess = entropy_hessian(dd)
     det = abs(float(np.linalg.det(hess)))
@@ -387,7 +369,7 @@ def predict_count(
         window = q.delta
     u = np.asarray(dd.u, dtype=float)
     rho = np.asarray(q.rho, dtype=float)
-    frac = q.T * rho - np.asarray(floor_class(q.rho, q.T), dtype=float)
+    frac = q.T * rho - floor.astype(float)
     exponent = dd.entropy * q.T + float(u @ frac) - float(u @ np.asarray(q.alpha, dtype=float))
     return (
         math.sqrt(det)
@@ -410,8 +392,7 @@ def evaluate_query(
     exact = exact_window_count(g, w, q, budget_cap=budget_cap)
     predicted = predict_count(g, w, dd, q)
     ratio = exact / predicted if predicted > 0 else float("nan")
-    target = tuple(f + a for f, a in zip(floor_class(q.rho, q.T), q.alpha))
-    return CountResult(exact, predicted, ratio, target)
+    return CountResult(exact, predicted, ratio, target_class(w, q))
 
 
 def sweep(
@@ -464,19 +445,14 @@ def jitter_averaged_ratio(
     precomputed (lengths, classes) pair covering T + delta.
     """
     alpha = tuple(int(x) for x in alpha)
-    rho = dd.rho
+    ts = [T + j * delta / n_eval for j in range(n_eval)]
+    if table is None:
+        table = cycle_table(g, w, max(ts), removed=removed, budget_cap=budget_cap)
     ratios = []
-    for j in range(n_eval):
-        tj = T + j * delta / n_eval
-        q = CountQuery(T=tj, delta=delta, rho=rho, alpha=alpha, removed=tuple(removed))
-        if table is not None:
-            lengths, classes = table
-            target = tuple(f + a for f, a in zip(floor_class(rho, tj), alpha))
-            exact = window_count_from_table(lengths, classes, tj, delta, target)
-        else:
-            exact = exact_window_count(g, w, q, budget_cap=budget_cap)
-        predicted = predict_count(g, w, dd, q)
-        ratios.append(exact / predicted)
+    for tj in ts:
+        q = CountQuery(T=tj, delta=delta, rho=dd.rho, alpha=alpha, removed=tuple(removed))
+        exact = window_count_from_table(*table, tj, delta, target_class(w, q))
+        ratios.append(exact / predict_count(g, w, dd, q))
     return float(np.mean(ratios))
 
 
@@ -493,7 +469,7 @@ class FiniteQuotient:
 
     def __init__(self, *, lattice=None, group=None):
         if (lattice is None) == (group is None):
-            raise ValueError("specify exactly one of lattice/group data")
+            raise InvalidArgument("specify exactly one of lattice/group data")
         self._lattice = lattice
         self._group = group
 
@@ -505,7 +481,7 @@ class FiniteQuotient:
         mat = [[int(x) for x in row] for row in matrix]
         d = len(mat)
         if any(len(row) != d for row in mat):
-            raise ValueError("lattice matrix must be square")
+            raise InvalidArgument("lattice matrix must be square")
         u, diag, _ = smith_decomposition(mat)
         diag = [abs(x) for x in diag] + [0] * (d - len(diag))
         if any(x == 0 for x in diag):
@@ -521,7 +497,7 @@ class FiniteQuotient:
     def from_modulus(cls, modulus: int, dim: int) -> "FiniteQuotient":
         m = int(modulus)
         if m < 1:
-            raise ValueError("modulus must be >= 1")
+            raise InvalidArgument(f"modulus must be >= 1, got {m}")
         return cls.from_lattice([[m if i == j else 0 for j in range(dim)] for i in range(dim)])
 
     @classmethod
@@ -536,14 +512,14 @@ class FiniteQuotient:
                 identity = e
                 break
         if identity is None:
-            raise ValueError("multiplication table has no identity element")
+            raise InvalidArgument("multiplication table has no identity element")
         inverse = {}
         for a in elems:
             for b in elems:
                 if mult[(a, b)] == identity:
                     inverse[a] = b
         if len(inverse) != len(elems):
-            raise ValueError("multiplication table has non-invertible elements")
+            raise InvalidArgument("multiplication table has non-invertible elements")
         class_of = {}
         classes = []
         for a in elems:
@@ -627,7 +603,7 @@ class FiniteQuotient:
         if self.is_lattice:
             diag = self._lattice["diag"]
             if self.order > 100_000:
-                raise ValueError(f"quotient order {self.order} too large to tabulate")
+                raise InvalidArgument(f"quotient order {self.order} too large to tabulate")
             return [tuple(t) for t in itertools.product(*(range(m) for m in diag))]
         return list(self._group["classes"])
 
@@ -696,10 +672,12 @@ def chebotarev_distribution(
         raise EmptySelection("no prime cycles within the probed period")
     frequencies = {key: cnt / total for key, cnt in counts.items()}
     reference = {key: quot.class_size(key) / quot.order for key in counts}
-    if any(cnt == 0 for cnt in counts.values()):
+    empty = sum(cnt == 0 for cnt in counts.values())
+    if empty:
         warnings.warn(
-            "some quotient classes receive no orbits; the cycle classes "
-            "likely fail to generate the lattice",
+            f"{empty} of {len(counts)} quotient classes receive no orbit of "
+            f"period <= {n_max}: the period bound may be too small for the "
+            "quotient, or the cycle classes may fail to generate it",
             stacklevel=2,
         )
     return ChebotarevResult(counts, frequencies, reference, total)
@@ -716,34 +694,20 @@ def equidistribution_test(
 ) -> EquidistributionResult:
     """Average of the per-orbit time averages of phi over the window/class
     selection, against the equilibrium-state expectation at dd.u."""
-    _check_weights_cover(g, w)
     missing = g.edge_set - set(phi)
     if missing:
         raise MissingEdgeValue(f"observable undefined on edges: {sorted(missing)}")
-    target = tuple(f + a for f, a in zip(floor_class(q.rho, q.T), q.alpha))
-    depth = _depth_cap(w, q.T, budget_cap)
-    rem, max_p = _removed_index(q.removed)
-    t_lo = q.T - q.delta
+    target = target_class(w, q)
     phi_vals = {e: float(v) for e, v in phi.items()}
-    total = 0.0
-    n_orbits = 0
-
-    def visit(word, t, length, cls):
-        nonlocal total, n_orbits
-        if length <= t_lo or cls != target:
-            return
-        if rem and t <= max_p and (t, tuple(word[:t])) in rem:
-            return
-        s = 0.0
-        for m in range(t):
-            s += phi_vals[(word[m], word[(m + 1) % t])]
-        total += s / length
-        n_orbits += 1
-
-    scan_prime_cycles(
-        g, visit, n_max=depth, edge_length=w.roof, max_len=q.T, edge_vector=w.classes
-    )
-    if n_orbits == 0:
+    scan = _scan(g, w, q.T, q.removed, budget_cap, phi=phi_vals, words=True)
+    sel = np.flatnonzero(_in_window(scan.length, scan.classes, q.T, q.delta, target))
+    if len(sel) == 0:
         raise EmptySelection("no orbit matches the window and class constraints")
+    # summed in lexicographic word order, so the float result does not
+    # depend on the order in which the scan emits cycles
+    sel = sel[np.lexsort(scan.words[sel].T[::-1])]
+    total = 0.0
+    for s, length in zip(scan.value[sel].tolist(), scan.length[sel].tolist()):
+        total += s / length
     expected = integrate_observable(equilibrium_measure(g, w, dd.u), w, phi_vals)
-    return EquidistributionResult(total / n_orbits, expected, n_orbits)
+    return EquidistributionResult(total / len(sel), expected, len(sel))

@@ -10,6 +10,10 @@ class OrbitflowError(Exception):
     exit_code = 2
 
 
+class InvalidArgument(OrbitflowError, ValueError):
+    """An argument is malformed or outside its admissible range."""
+
+
 class InvalidGraph(OrbitflowError):
     """Graph fails validation (degrees, connectivity, duplicates)."""
 

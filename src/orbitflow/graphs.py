@@ -4,11 +4,14 @@ Vertices are the integers 1..k throughout.  A prime cycle is a primitive
 periodic vertex sequence stored as the lexicographically minimal rotation,
 so every periodic orbit of the edge shift has exactly one representative.
 
-The enumerator is a depth-first search over words in the style of the
-necklace-generation algorithms: a word is grown only while it remains a
-prefix of some canonical representative, and it is emitted exactly when it
-is aperiodic and minimal among its rotations.  This produces each prime
-cycle once, with no post-hoc deduplication.
+``scan_cycles`` grows words level by level as numpy arrays, by the
+necklace rule of Cattell, Ruskey, Sawada, Serra & Miers (J. Algorithms 37,
+2000): appending x to a word of length t and period p keeps it a canonical
+prefix iff x >= word[t-p], the period staying p on equality and becoming
+t + 1 otherwise; the word is a prime cycle when p = t and its last vertex
+has an edge back to its first.  Each prime cycle comes once, with no
+deduplication, and the frontier is expanded in blocks of at most _BLOCK
+rows, so memory stays flat however many cycles a scan yields.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidGraph, MissingEdge, NotPrimitive
+from .errors import InvalidArgument, InvalidGraph, MissingEdge, NotPrimitive
 
 Edge = tuple[int, int]
 
@@ -99,7 +102,7 @@ class PrimeCycle:
     def __post_init__(self):
         seq = tuple(int(v) for v in self.vertices)
         if not seq:
-            raise ValueError("empty vertex sequence")
+            raise InvalidArgument("empty vertex sequence")
         if not _is_primitive(seq):
             raise NotPrimitive(f"{seq} is a repetition of a shorter cycle")
         object.__setattr__(self, "vertices", _min_rotation(seq))
@@ -197,7 +200,7 @@ def canonical_form(g: DirectedGraph, vertex_sequence) -> PrimeCycle:
     """
     seq = tuple(int(v) for v in vertex_sequence)
     if not seq:
-        raise ValueError("empty vertex sequence")
+        raise InvalidArgument("empty vertex sequence")
     n = len(seq)
     for m in range(n):
         a, b = seq[m], seq[(m + 1) % n]
@@ -206,115 +209,144 @@ def canonical_form(g: DirectedGraph, vertex_sequence) -> PrimeCycle:
     return PrimeCycle(seq)
 
 
-def scan_prime_cycles(
+# rows of the live frontier expanded per numpy step; bounds peak memory
+_BLOCK = 4096
+
+
+@dataclass(frozen=True, eq=False)
+class CycleScan:
+    """One entry per prime cycle found by ``scan_cycles``: ``length`` and
+    ``value`` are edge sums in word order with the closing edge last, as
+    ``birkhoff`` takes them, ``classes`` the n x d class sums, ``words``
+    the canonical vertex sequences padded with 0; None when not asked for.
+    """
+
+    period: np.ndarray
+    length: np.ndarray | None = None
+    classes: np.ndarray | None = None
+    value: np.ndarray | None = None
+    words: np.ndarray | None = None
+
+
+def scan_cycles(
     g: DirectedGraph,
-    visit,
     *,
     n_max: int,
     edge_length: dict | None = None,
     max_len: float | None = None,
     edge_vector: dict | None = None,
-):
-    """Run ``visit(word, period, length, cls)`` once per prime cycle.
+    edge_value: dict | None = None,
+    exclude=(),
+    words: bool = False,
+) -> CycleScan:
+    """All prime cycles of period <= n_max, as per-cycle arrays.
 
-    ``word`` is a shared list whose first ``period`` entries hold the
-    canonical vertex sequence; copy it before keeping a reference.
-    ``length`` is the accumulated edge_length around the cycle (None when
-    edge_length is None) and ``cls`` the accumulated edge_vector tuple
-    (None when edge_vector is None).
-
-    When ``max_len`` is given (requires edge_length), branches that cannot
-    close within the bound are pruned, and only cycles with total length
-    <= max_len are visited.  Word growth follows the standard necklace
-    recursion: appending x to a word of period p keeps it a canonical
-    prefix iff x >= word[t-p], the period staying p on equality and
-    resetting to the full length otherwise; a word is a prime cycle
-    representative exactly when its period equals its length.
+    Sums ``edge_length`` (the cycle length), ``edge_vector`` (the class)
+    and ``edge_value`` (an observable) when given.  With ``max_len``
+    (requires edge_length), branches that cannot close within the bound
+    are pruned and only cycles of length <= max_len are kept.  Canonical
+    words listed in ``exclude`` are left out.
     """
     require_valid(g)
     if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+        raise InvalidArgument(f"n_max must be >= 1, got {n_max}")
+    if max_len is not None and edge_length is None:
+        raise InvalidArgument("max_len requires edge_length")
     k = g.vertex_count
-    succ = g._succ
+    edges = sorted(g.edge_set)
+    # edge tables indexed by (k + 1) * tail + head
+    flat = [(k + 1) * a + b for a, b in edges]
 
-    track_len = edge_length is not None
-    track_vec = edge_vector is not None
-    if max_len is not None and not track_len:
-        raise ValueError("max_len requires edge_length")
+    def table(values, dtype=float):
+        out = np.zeros(((k + 1) ** 2,) + np.shape(values[edges[0]]), dtype=dtype)
+        out[flat] = [values[e] for e in edges]
+        return out
 
-    # dense lookup tables, index [i][j]; None marks a missing edge
-    len_of = None
-    if track_len:
-        len_of = [[None] * (k + 1) for _ in range(k + 1)]
-        for (i, j) in g.edge_set:
-            len_of[i][j] = float(edge_length[(i, j)])
-        r_min = min(float(v) for v in edge_length.values())
-    vec_of = None
-    dim = 0
-    if track_vec:
-        vec_of = [[None] * (k + 1) for _ in range(k + 1)]
-        for (i, j) in g.edge_set:
-            vec_of[i][j] = tuple(int(x) for x in edge_vector[(i, j)])
-        dim = len(next(iter(edge_vector.values())))
+    has_edge = table(dict.fromkeys(edges, True), bool)
+    # the edge sums to carry; the length, when asked for, comes first
+    sums = {
+        name: table(values, dtype)
+        for name, values, dtype in (("length", edge_length, float),
+                                    ("classes", edge_vector, np.int64),
+                                    ("value", edge_value, float))
+        if values is not None
+    }
+    tables = list(sums.values())
+    if max_len is not None:
+        roof, r_min = tables[0], min(float(v) for v in edge_length.values())
+    vtype = np.min_scalar_type(k)
+    ptype = np.min_scalar_type(n_max)
+    # successors of each vertex, padded with 0, which fails x >= word[t-p]
+    succ = np.zeros((k + 1, max(len(s) for s in g._succ)), dtype=vtype)
+    for a in range(1, k + 1):
+        succ[a, : len(g._succ[a])] = g._succ[a]
+    drop: dict[int, list] = {}
+    for word in exclude:
+        drop.setdefault(len(word), []).append(word)
+    found: list[list] = []
 
-    word = [0] * (n_max + 1)
-    acc = [0] * dim
+    def step(t, w, p, *acc):
+        """Emit the prime cycles among the words of length t (rows of w,
+        zero-padded to n_max); return their children, of length t + 1."""
+        base = (k + 1) * w[:, t - 1].astype(np.intp)
+        closing = base + w[:, 0]
+        close = (p == t) & has_edge.take(closing)
+        if max_len is not None:
+            close &= acc[0] + roof.take(closing) <= max_len
+        if t in drop:
+            close[close] = ~(w[close, None, :t] == np.array(drop[t])).all(axis=2).any(axis=1)
+        sel = np.flatnonzero(close)
+        e = closing.take(sel)
+        found.append([np.full(len(sel), t, dtype=ptype)] + [
+            a.take(sel, axis=0) + tab.take(e, axis=0) for a, tab in zip(acc, tables)
+        ] + ([w.take(sel, axis=0)] if words else []))
+        if t == n_max:
+            return None
+        wtp = w.ravel().take(np.arange(len(p)) * n_max + (t - p))
+        cand = succ.take(w[:, t - 1], axis=0)
+        ok = cand >= wtp[:, None]
+        if max_len is not None:
+            ok &= acc[0][:, None] + roof.take(base[:, None] + cand) + r_min <= max_len
+        idx = np.flatnonzero(ok)
+        rows = idx // cand.shape[1]
+        x = cand.ravel().take(idx)
+        e = base.take(rows) + x
+        child = w.take(rows, axis=0)
+        child[:, t] = x
+        return [child, np.where(x == wtp.take(rows), p.take(rows), t + 1)] + [
+            a.take(rows, axis=0) + tab.take(e, axis=0) for a, tab in zip(acc, tables)
+        ]
 
-    for start in range(1, k + 1):
-        word[0] = start
-
-        def grow(last: int, t: int, p: int, length: float):
-            if p == t and g.has_edge(last, start):
-                if track_len:
-                    total = length + len_of[last][start]
-                    if max_len is None or total <= max_len:
-                        if track_vec:
-                            cv = vec_of[last][start]
-                            visit(word, t, total,
-                                  tuple(acc[i] + cv[i] for i in range(dim)))
-                        else:
-                            visit(word, t, total, None)
-                else:
-                    if track_vec:
-                        cv = vec_of[last][start]
-                        visit(word, t, None,
-                              tuple(acc[i] + cv[i] for i in range(dim)))
-                    else:
-                        visit(word, t, None, None)
-            if t == n_max:
-                return
-            wtp = word[t - p]
-            for x in succ[last]:
-                if x < wtp:
-                    continue
-                if track_len:
-                    new_len = length + len_of[last][x]
-                    if max_len is not None and new_len + r_min > max_len:
-                        continue
-                else:
-                    new_len = length
-                word[t] = x
-                if track_vec:
-                    xv = vec_of[last][x]
-                    for i in range(dim):
-                        acc[i] += xv[i]
-                    grow(x, t + 1, p if x == wtp else t + 1, new_len)
-                    for i in range(dim):
-                        acc[i] -= xv[i]
-                else:
-                    grow(x, t + 1, p if x == wtp else t + 1, new_len)
-
-        grow(start, 1, 1, 0.0)
+    root = [np.zeros((k, n_max), dtype=vtype), np.ones(k, dtype=ptype)]
+    root += [np.zeros((k,) + tab.shape[1:], dtype=tab.dtype) for tab in tables]
+    root[0][:, 0] = np.arange(1, k + 1)
+    # pending[t]: words of length t not yet expanded.  Expand the deepest
+    # level holding a full block, else all of the shallowest one; every
+    # level then stays below a few blocks.
+    pending = [[] for _ in range(n_max + 1)]
+    pending[1] = [root]
+    size = [0] * (n_max + 1)
+    size[1] = k
+    while any(size):
+        full = [t for t in range(1, n_max + 1) if size[t] >= _BLOCK]
+        t = full[-1] if full else next(t for t in range(1, n_max + 1) if size[t])
+        state = pending[t][0] if len(pending[t]) == 1 else [
+            np.concatenate(a) for a in zip(*pending[t])]
+        # a copy, so the expanded rows are freed with the block
+        pending[t] = [[a[_BLOCK:].copy() for a in state]] if size[t] > _BLOCK else []
+        size[t] = max(size[t] - _BLOCK, 0)
+        children = step(t, *(a[:_BLOCK] for a in state))
+        if children is not None and len(children[1]):
+            pending[t + 1].append(children)
+            size[t + 1] += len(children[1])
+    out = [np.concatenate(a) for a in zip(*found)]
+    return CycleScan(out[0], words=out[-1] if words else None, **dict(zip(sums, out[1:])))
 
 
 def enumerate_prime_cycles(g: DirectedGraph, n_max: int) -> list[PrimeCycle]:
     """All prime cycles of period <= n_max, canonical, sorted by
     (period, vertex sequence)."""
-    found: list[tuple[int, ...]] = []
-
-    def keep(word, t, _length, _cls):
-        found.append(tuple(word[:t]))
-
-    scan_prime_cycles(g, keep, n_max=n_max)
+    scan = scan_cycles(g, n_max=n_max, words=True)
+    found = [tuple(w[:t]) for w, t in zip(scan.words.tolist(), scan.period.tolist())]
     found.sort(key=lambda w: (len(w), w))
     return [PrimeCycle(w) for w in found]

@@ -20,6 +20,7 @@ from scipy.spatial import ConvexHull
 
 from .errors import (
     DegenerateModel,
+    DimensionMismatch,
     NonConvergence,
     OutsideCone,
     SingularHessian,
@@ -144,7 +145,7 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
     rho = np.asarray(rho, dtype=float).reshape(-1)
     d = w.dimension
     if rho.shape != (d,):
-        raise ValueError(f"rho has length {rho.shape[0]}, expected {d}")
+        raise DimensionMismatch(f"rho has length {rho.shape[0]}, class dimension is {d}")
     r, c = edge_arrays(g, w)
 
     u = np.zeros(d)

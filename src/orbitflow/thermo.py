@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     MissingEdgeValue,
     NonConvergence,
     NotPrimitive,
@@ -118,9 +119,9 @@ def perron(m) -> PerronData:
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise InvalidArgument(f"expected a square matrix, got shape {m.shape}")
     if (m < 0).any():
-        raise ValueError("matrix must be nonnegative")
+        raise InvalidArgument("matrix must be nonnegative")
     if not np.isfinite(m).all():
         raise NonConvergence("matrix has non-finite entries (over/underflow)")
     if not is_primitive_pattern(m > 0):

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    InvalidTree,
     DimensionMismatch,
+    InvalidArgument,
+    InvalidTree,
     MissingChordValue,
     MissingEdgeWeight,
     NoMeridians,
@@ -42,13 +43,13 @@ class WeightSystem:
         b = int(self.b)
         n = int(self.meridians)
         if b < 0 or n < 0 or b + n < 1:
-            raise ValueError(f"need b >= 0, meridians >= 0, b + meridians >= 1, got ({b}, {n})")
+            raise InvalidArgument(f"need b >= 0, meridians >= 0, b + meridians >= 1, got ({b}, {n})")
         d = b + n
         roof = {}
         for e, r in self.roof.items():
             r = float(r)
             if not r > 0.0:
-                raise ValueError(f"roof must be positive, got {r} on edge {e}")
+                raise InvalidArgument(f"roof must be positive, got {r} on edge {e}")
             roof[(int(e[0]), int(e[1]))] = r
         classes = {}
         for e, vec in self.classes.items():
@@ -59,7 +60,7 @@ class WeightSystem:
                 )
             classes[(int(e[0]), int(e[1]))] = vec
         if set(roof) != set(classes):
-            raise ValueError("roof and classes must cover the same edges")
+            raise InvalidArgument("roof and classes must cover the same edges")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "meridians", n)
         object.__setattr__(self, "roof", roof)

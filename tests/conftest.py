@@ -1,9 +1,17 @@
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orbitflow
 from orbitflow import DirectedGraph, WeightSystem, builtin_model
+
+# CLI subprocesses import the same package as the tests, installed or not
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(orbitflow.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+)
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,28 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# inputs the contract answers with exit 2 and one error line
+BAD_INPUT = (
+    "pressure bench3 --u abc",
+    "count full2 --T 5 --delta 9 --rho 0.5 --alpha 0",
+    "equidist full2 --T 10 --delta 2 --rho 0.5 --alpha 0 --obs junk",
+    "chebotarev full2 --mod 0 --n 5",
+    "hull full2 --n 0",
+    "count bench3 --T 10 --delta 1 --rho 0.5 --alpha 0",
+    "predict bench3 --T 10 --delta 1 --rho 0.5 --alpha 0",
+    "count full2 --T 5 --delta 1 --rho 0.5 --alpha x",
+    "equidist full2 --T 10 --delta 2 --rho 0.5 --alpha 0 --obs 3>1=1",
+)
+
+
+@pytest.mark.parametrize("command", BAD_INPUT)
+def test_bad_input_exits_2_with_one_error_line(capsys, command):
+    code, out, err = run(capsys, *command.split(" "))
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 class TestValidate:
     def test_builtin_ok(self, capsys):
         code, out, _ = run(capsys, "validate", "full2")

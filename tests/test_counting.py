@@ -8,9 +8,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from orbitflow import (
     BudgetExceeded,
     CountQuery,
+    DimensionMismatch,
     DirectedGraph,
     DirectionData,
     EmptySelection,
@@ -31,12 +35,13 @@ from orbitflow import (
     predict_count,
     solve_u,
     sweep,
+    target_class,
     trace_prime_count,
     trace_prime_counts_table,
     window_count_from_table,
 )
 
-from conftest import random_strong_graph, random_weights
+from conftest import brute_force_prime_cycles, random_strong_graph, random_weights
 
 FULL2 = DirectedGraph(2, ((1, 1), (1, 2), (2, 1), (2, 2)))
 
@@ -59,6 +64,85 @@ class TestFloorClass:
 
     def test_negative_component(self):
         assert floor_class((0.25, -0.4), 7) == (1, -3)
+
+
+class TestTargetClass:
+    def test_floor_plus_alpha(self):
+        q = CountQuery(T=10.0, delta=1.0, rho=(0.31,), alpha=(2,))
+        assert target_class(into2(), q) == (5,)
+
+    def test_dimension_checked_by_every_consumer(self, bench3):
+        g, w = bench3.graph, bench3.weights
+        q = CountQuery(T=10.0, delta=1.0, rho=(0.5,), alpha=(0,))
+        dd = DirectionData(rho=(0.5,), u=(0.0,), entropy=0.5, pressure_at_u=0.0,
+                           hessian_h=-np.eye(1))
+        phi = {e: 1.0 for e in g.edges}
+        for call in (
+            lambda: target_class(w, q),
+            lambda: exact_window_count(g, w, q),
+            lambda: predict_count(g, w, dd, q),
+            lambda: equidistribution_test(g, w, dd, q, phi),
+            lambda: window_count_from_table(np.ones(1), np.zeros((1, 2)), 1.0, 1.0, (0,)),
+        ):
+            with pytest.raises(DimensionMismatch):
+                call()
+
+
+def _brute_mean(selected, phi):
+    """Per-orbit time average of phi, summed in lexicographic word order."""
+    total = 0.0
+    for word, length in sorted(selected):
+        s = 0.0
+        for m in range(len(word)):
+            s += phi[(word[m], word[(m + 1) % len(word)])]
+        total += s / length
+    return total / len(selected)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), d=st.integers(1, 2),
+       data=st.data())
+def test_counters_match_brute_force_on_random_models(seed, k, d, data):
+    rng = np.random.default_rng(seed)
+    g = random_strong_graph(rng, k, ensure_aperiodic=True)
+    w = random_weights(rng, g, d)
+    T = data.draw(st.floats(3.0, 6.0))
+    depth = max(int(math.floor(T / w.r_min)), 1)
+    assume(k**depth <= 50_000)  # keeps the brute force small
+    brute = {c: birkhoff(PrimeCycle(c), w) for c in brute_force_prime_cycles(g, depth)}
+    removed = data.draw(st.lists(st.sampled_from(sorted(brute)), max_size=3, unique=True))
+    kept = {c: b for c, b in brute.items() if b.length <= T and c not in removed}
+    removed = tuple(PrimeCycle(c) for c in removed)
+
+    lengths, classes = cycle_table(g, w, T, removed=removed)
+    assert sorted(zip(lengths.tolist(), map(tuple, classes.tolist()))) == sorted(
+        (b.length, b.class_vector) for b in kept.values()
+    )
+    assert margulis_total(g, w, removed, T).exact == len(kept)
+
+    # a window reaching down to one kept cycle, and its class as target
+    some = data.draw(st.sampled_from(sorted(kept))) if kept else None
+    delta = data.draw(st.floats(T - kept[some].length if kept else 0.1, T))
+    beta = kept[some].class_vector if kept else (0,) * d
+    rho = tuple(data.draw(st.floats(-1.0, 1.0)) for _ in range(d))
+    alpha = tuple(b - f for b, f in zip(beta, floor_class(rho, T)))
+    q = CountQuery(T=T, delta=delta, rho=rho, alpha=alpha, removed=removed)
+    selected = [
+        (c, b.length) for c, b in kept.items()
+        if b.length > T - delta and b.class_vector == beta
+    ]
+    assert exact_window_count(g, w, q) == len(selected)
+
+    phi = {e: float(rng.normal()) for e in g.edges}
+    dd = DirectionData(rho=rho, u=(0.0,) * d, entropy=0.0, pressure_at_u=0.0,
+                       hessian_h=-np.eye(d))
+    if selected:
+        res = equidistribution_test(g, w, dd, q, phi)
+        assert res.n_orbits == len(selected)
+        assert res.empirical == _brute_mean(selected, phi)
+    else:
+        with pytest.raises(EmptySelection):
+            equidistribution_test(g, w, dd, q, phi)
 
 
 class TestExactWindowCount:
@@ -287,6 +371,12 @@ class TestMargulis:
             excl = margulis_total(FULL2, w, removed, T).exact
             assert 0 <= full - excl <= len(removed)
 
+    def test_full2_necklace_total_at_20(self, full2):
+        # sum over n <= 20 of the binary Lyndon word counts, minus the
+        # removed orbit; the scan's frontier spans several blocks here
+        res = margulis_total(full2.graph, full2.weights, full2.removed, 20.0)
+        assert res.exact == 111_012
+
     def test_mixing_model_trend(self, bench3):
         # on the incommensurable-roof model the growth law ratio
         # approaches 1 from either side
@@ -355,6 +445,15 @@ class TestChebotarev:
         with pytest.warns(UserWarning):
             res = chebotarev_distribution(FULL2, w, (), quot, 5)
         assert res.frequencies[(0,)] == 1.0
+
+    def test_empty_class_warning_names_the_period_bound(self, bench3):
+        # the cycle classes generate Z^2, but period <= 18 bounds every
+        # class coordinate, so most classes of Z^2 / diag(31, 37) stay empty
+        quot = FiniteQuotient.from_lattice(((31, 0), (0, 37)))
+        with pytest.warns(
+            UserWarning, match=r"^858 of 1147 quotient classes .* period <= 18: the period bound"
+        ):
+            chebotarev_distribution(bench3.graph, bench3.weights, bench3.removed, quot, 18)
 
     def test_matches_enumeration_lattice(self, bench3):
         quot = FiniteQuotient.from_lattice(((2, 0), (0, 3)))

@@ -5,13 +5,17 @@ import pytest
 
 from orbitflow import (
     DirectedGraph,
+    InvalidArgument,
     InvalidGraph,
     MissingEdge,
     NotPrimitive,
     PrimeCycle,
+    birkhoff,
     canonical_form,
     enumerate_prime_cycles,
+    graphs,
     is_aperiodic,
+    scan_cycles,
     validate_graph,
 )
 
@@ -154,6 +158,44 @@ class TestEnumerate:
         for g in graphs:
             got = [c.vertices for c in enumerate_prime_cycles(g, 6)]
             assert got == brute_force_prime_cycles(g, 6)
+
+    def test_words_and_sums_match_birkhoff(self, bench3):
+        g, w = bench3.graph, bench3.weights
+        phi = {e: 0.1 * i + 0.3 for i, e in enumerate(sorted(g.edges))}
+        scan = scan_cycles(g, n_max=17, edge_length=w.roof, max_len=12.0,
+                           edge_vector=w.classes, edge_value=phi, words=True)
+        assert len(scan.period) > 100
+        for word, t, length, cls, value in zip(
+            scan.words.tolist(), scan.period.tolist(), scan.length.tolist(),
+            scan.classes.tolist(), scan.value.tolist(),
+        ):
+            assert word[t:] == [0] * (17 - t)
+            c = PrimeCycle(tuple(word[:t]))
+            assert c.vertices == tuple(word[:t])
+            assert (length, tuple(cls)) == (birkhoff(c, w).length, birkhoff(c, w).class_vector)
+            s = 0.0
+            for e in c.edges():
+                s += phi[e]
+            assert value == s
+
+    def test_block_size_changes_nothing(self, bench3, monkeypatch):
+        g, w = bench3.graph, bench3.weights
+
+        def rows():
+            scan = scan_cycles(g, n_max=14, edge_length=w.roof, max_len=9.0,
+                               edge_vector=w.classes, words=True)
+            return sorted(zip(map(tuple, scan.words.tolist()), scan.length.tolist(),
+                              map(tuple, scan.classes.tolist())))
+
+        whole = rows()
+        monkeypatch.setattr(graphs, "_BLOCK", 7)
+        assert rows() == whole
+
+    def test_exclude_and_n_max_checks(self):
+        scan = scan_cycles(FULL2, n_max=3, exclude=[(2,), (1, 1, 2)])
+        assert sorted(scan.period.tolist()) == [1, 2, 3]
+        with pytest.raises(InvalidArgument):
+            scan_cycles(FULL2, n_max=0)
 
     def test_closed_walk_identity(self):
         # sum over m | n of m * (#prime cycles of period m) = trace(A^n)
