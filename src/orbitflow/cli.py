@@ -10,6 +10,7 @@ computation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -159,6 +160,11 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep(args) -> int:
     m = load_model(args.model)
+    if not (args.step > 0 and math.isfinite(args.Tmin) and math.isfinite(args.Tmax)):
+        raise InvalidArgument(
+            f"need step > 0 and finite Tmin, Tmax, got step={args.step}, "
+            f"Tmin={args.Tmin}, Tmax={args.Tmax}"
+        )
     T_list = []
     t = args.Tmin
     while t <= args.Tmax + 1e-12:
@@ -204,8 +210,7 @@ def cmd_margulis(args) -> int:
 def cmd_chebotarev(args) -> int:
     m = load_model(args.model)
     if (args.mod is None) == (args.quotient is None):
-        print("exactly one of --mod / --quotient is required", file=sys.stderr)
-        return 2
+        raise InvalidArgument("exactly one of --mod / --quotient is required")
     if args.mod is not None:
         quot = FiniteQuotient.from_modulus(args.mod, m.weights.dimension)
     else:
@@ -275,22 +280,26 @@ def main(argv=None) -> int:
     p = add("hull", cmd_hull)
     p.add_argument("--n", type=int, required=True)
 
-    for name, fn in (("count", cmd_count), ("predict", cmd_predict)):
+    def window(name, fn, *, grid=False):
+        """A command over the window (T - delta, T] and the class
+        floor(T rho) + alpha; grid takes a T range in place of one T."""
         p = add(name, fn)
-        p.add_argument("--T", type=float, required=True)
-        p.add_argument("--delta", type=float, required=True)
+        if grid:
+            p.add_argument("--Tmin", type=float, required=True)
+            p.add_argument("--Tmax", type=float, required=True)
+            p.add_argument("--step", type=float, required=True)
+            p.add_argument("--delta", type=float, default=1.0)
+        else:
+            p.add_argument("--T", type=float, required=True)
+            p.add_argument("--delta", type=float, required=True)
         p.add_argument("--rho", required=True)
         p.add_argument("--alpha", required=True)
         p.add_argument("--budget", type=int, default=32)
+        return p
 
-    p = add("sweep", cmd_sweep)
-    p.add_argument("--Tmin", type=float, required=True)
-    p.add_argument("--Tmax", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--rho", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--budget", type=int, default=32)
+    window("count", cmd_count)
+    window("predict", cmd_predict)
+    window("sweep", cmd_sweep, grid=True)
 
     p = add("margulis", cmd_margulis)
     p.add_argument("--T", type=float, required=True)
@@ -301,13 +310,8 @@ def main(argv=None) -> int:
     p.add_argument("--quotient")
     p.add_argument("--n", type=int, required=True)
 
-    p = add("equidist", cmd_equidist)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--rho", required=True)
-    p.add_argument("--alpha", required=True)
+    p = window("equidist", cmd_equidist)
     p.add_argument("--obs", required=True, help="edge values, e.g. 1>2=1.0,2>1=0.5")
-    p.add_argument("--budget", type=int, default=32)
 
     add("check", cmd_check, model=False)
 

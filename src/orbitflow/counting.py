@@ -3,10 +3,7 @@
 Exact counts are numpy reductions over one canonical-cycle scan
 (``graphs.scan_cycles``), pruned by the length bound; the admissible
 symbolic depth floor(T / r_min) is capped, and counts beyond the cap are
-refused rather than estimated.  An independent oracle for unit roofs
-counts closed walks with class tracked through matrix powers over
-exponent maps and recovers prime-cycle counts by Mobius inversion over
-simultaneous divisors of (period, class).
+refused rather than estimated.
 
 The asymptotic predictor evaluates the window-count growth law for a
 direction rho inside the attainable set: a Gaussian prefactor from the
@@ -14,9 +11,15 @@ entropy Hessian, a window factor, and the exponential of entropy * T
 corrected by the dual parameter paired with the fractional part of
 T * rho and the class offset.
 
-Finite quotients (integer lattices or explicit finite groups with
-per-edge labels) support a density check: class frequencies of prime
-cycles approach |C| / |G|.
+One graded walk-count engine checks the class counts independently of
+the scan.  It counts closed walks by the element of a finite group
+(numbered 0..N-1) that their ordered edge labels multiply to, in a
+(k, k, N) array of exact integers, and inverts the counts per conjugacy
+class to prime-cycle counts by one Mobius recursion on arrays.  It serves
+the unit-roof oracle, on a box Z^d / diag(S) that no class of a walk of
+at most n steps wraps around, and the density check over a
+``FiniteQuotient`` (integer lattice or explicit finite group), whose class
+frequencies of prime cycles approach |C| / |G|.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import (
 from .graphs import CycleScan, DirectedGraph, PrimeCycle, scan_cycles
 from .legendre import DirectionData, entropy_hessian
 from .thermo import equilibrium_measure, flow_pressure, integrate_observable
-from .weights import WeightSystem, birkhoff, smith_decomposition
+from .weights import WeightSystem, smith_decomposition
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,8 @@ class CountQuery:
         object.__setattr__(self, "rho", tuple(float(x) for x in self.rho))
         object.__setattr__(self, "alpha", tuple(int(x) for x in self.alpha))
         object.__setattr__(self, "removed", tuple(self.removed))
+        if not (math.isfinite(self.T) and math.isfinite(self.delta)):
+            raise InvalidArgument(f"need finite T and delta, got T={self.T}, delta={self.delta}")
         if not (0.0 < self.delta <= self.T):
             raise InvalidArgument(f"need 0 < delta <= T, got delta={self.delta}, T={self.T}")
         if len(self.rho) != len(self.alpha):
@@ -195,13 +200,15 @@ def margulis_total(
     step eps the ratio exact / reference, taken at T in eps * Z, tends to
     h eps / (1 - e^(-h eps)) instead: 2 log 2 for full2.
     """
+    if not (math.isfinite(T) and T > 0):
+        raise InvalidArgument(f"need finite T > 0, got T={T}")
     count = len(_scan(g, w, T, removed, budget_cap, classes=False).period)
     h = flow_pressure(g, w, np.zeros(w.dimension))
     return MargulisCount(count, math.exp(h * T) / (h * T))
 
 
 # ---------------------------------------------------------------------------
-# closed-walk oracle (unit roof)
+# graded closed walks: one engine for the trace oracle and the density check
 
 def _mobius(n: int) -> int:
     if n == 1:
@@ -225,119 +232,87 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-def _dictmat_mul(a, b, combine):
-    k = len(a)
-    out = [[{} for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        arow = a[i]
-        for l in range(k):
-            ail = arow[l]
-            if not ail:
-                continue
-            brow = b[l]
-            for j in range(k):
-                blj = brow[j]
-                if not blj:
-                    continue
-                oij = out[i][j]
-                for x, cx in ail.items():
-                    for y, cy in blj.items():
-                        key = combine(x, y)
-                        oij[key] = oij.get(key, 0) + cx * cy
-    return out
+def _closed_walks(g: DirectedGraph, w: WeightSystem, quot: "FiniteQuotient", n_max: int):
+    """walks[m - 1][c] = closed m-step walks whose ordered edge-label
+    product lies in class c of quot, for m = 1..n_max, as exact integers.
 
-
-def _label_matrix(g: DirectedGraph, label_of_edge):
-    k = g.vertex_count
-    mat = [[{} for _ in range(k)] for _ in range(k)]
-    for (i, j) in g.edge_set:
-        mat[i - 1][j - 1] = {label_of_edge((i, j)): 1}
-    return mat
-
-
-def _closed_walk_counts(g: DirectedGraph, label_of_edge, combine, n_max: int):
-    """walks[m][label] = number of closed m-step walks with that label."""
-    base = _label_matrix(g, label_of_edge)
-    walks = {}
-    power = base
-    for m in range(1, n_max + 1):
-        if m > 1:
-            power = _dictmat_mul(power, base, combine)
-        trace: dict = {}
-        for i in range(g.vertex_count):
-            for key, cnt in power[i][i].items():
-                trace[key] = trace.get(key, 0) + cnt
-        walks[m] = trace
+    W[i, j, x] counts the walks i -> j with product x; a step along the
+    edge (t, h) labelled a adds W[:, t, x] into W[:, h, x a].
+    """
+    every, diag = np.arange(quot.order), np.arange(g.vertex_count)
+    steps = [(t - 1, h - 1, quot._mul(every, quot._edge_element(w, (t, h)))) for t, h in g.edges]
+    W = np.zeros((len(diag), len(diag), quot.order), dtype=object)
+    W[diag, diag, quot._identity] = 1
+    walks = []
+    for _ in range(n_max):
+        step = np.zeros_like(W)
+        for t, h, right in steps:
+            step[:, h, right] += W[:, t]
+        W = step
+        by_class = np.zeros(len(quot._class_keys), dtype=object)
+        np.add.at(by_class, quot._class_of, W[diag, diag].sum(axis=0))
+        walks.append(by_class)
     return walks
 
 
-def _prime_counts_from_walks(walks, n_max: int, power_key):
-    """Invert walk counts to prime-cycle counts per class, exactly."""
-    prime = {}
-    for m in range(1, n_max + 1):
-        acc = dict(walks[m])
-        for q in _divisors(m):
-            if q == 1:
-                continue
-            sub = prime[m // q]
-            for key, cnt in sub.items():
-                pk = power_key(key, q)
-                acc[pk] = acc.get(pk, 0) - (m // q) * cnt
-        table = {}
-        for key, total in acc.items():
-            if total == 0:
-                continue
-            if total % m != 0 or total < 0:
-                raise AssertionError(
-                    f"inconsistent walk counts at period {m}: residue {total} for {key}"
-                )
-            table[key] = total // m
-        prime[m] = table
+def _prime_counts(walks, quot: "FiniteQuotient"):
+    """prime[m - 1][c] = prime cycles of period m in class c, exactly.
+
+    A prime cycle of period p in class c, run q times, closes p walks of
+    length p q in the class of its q-th power (well defined on conjugacy
+    classes); those are subtracted before dividing by m.
+    """
+    prime = []
+    powers = [np.full_like(quot._reps, quot._identity)]   # reps^q, q = 0, 1, ...
+    for m, walk in enumerate(walks, 1):
+        powers.append(quot._mul(powers[-1], quot._reps))
+        acc = walk.copy()
+        for q in _divisors(m)[1:]:
+            np.subtract.at(acc, quot._class_of[powers[q]], (m // q) * prime[m // q - 1])
+        if ((acc % m != 0) | (acc < 0)).any():
+            raise AssertionError(f"inconsistent walk counts at period {m}")
+        prime.append(acc // m)
     return prime
 
 
-def _require_unit_roof(w: WeightSystem) -> None:
+def _box_walks(g: DirectedGraph, w: WeightSystem, n_max: int):
+    """The engine on the box Z^d / diag(S), S_i = n_max (max(0, max c_i) -
+    min(0, min c_i)) + 1, which holds every class of a walk of at most
+    n_max steps once: the box, its walk counts, and the class vector of
+    each box element.  Requires roof identically 1."""
+    _check_weights_cover(g, w)
     if any(r != 1.0 for r in w.roof.values()):
         raise RoofNotUnit("this oracle requires roof identically 1")
+    c = np.array([w.classes[e] for e in g.edges])
+    lo = n_max * np.minimum(c.min(axis=0), 0)
+    sides = tuple((n_max * np.maximum(c.max(axis=0), 0) - lo + 1).tolist())
+    box = FiniteQuotient._mixed_radix(sides, lambda vec: tuple(x % s for x, s in zip(vec, sides)))
+    vectors = (np.stack(np.unravel_index(np.arange(box.order), sides), axis=1) - lo) % sides + lo
+    return box, _closed_walks(g, w, box, n_max), vectors
 
 
 def trace_prime_counts_table(g: DirectedGraph, w: WeightSystem, n_max: int):
     """prime[m][beta] for all m <= n_max, by walk traces and inversion."""
-    _check_weights_cover(g, w)
-    _require_unit_roof(w)
-    walks = _closed_walk_counts(
-        g,
-        lambda e: w.classes[e],
-        lambda x, y: tuple(a + b for a, b in zip(x, y)),
-        n_max,
-    )
-    return _prime_counts_from_walks(
-        walks, n_max, lambda key, q: tuple(q * x for x in key)
-    )
+    box, walks, vectors = _box_walks(g, w, n_max)
+    return {
+        m: {tuple(vectors[x].tolist()): row[x] for x in np.flatnonzero(row != 0)}
+        for m, row in enumerate(_prime_counts(walks, box), 1)
+    }
 
 
 def trace_prime_count(g: DirectedGraph, w: WeightSystem, n: int, beta) -> int:
     """Prime cycles of period n with class beta, via Mobius inversion over
     the simultaneous divisors of (n, beta).  Requires roof identically 1."""
-    _check_weights_cover(g, w)
-    _require_unit_roof(w)
+    _, walks, vectors = _box_walks(g, w, n)
     beta = tuple(int(x) for x in beta)
     if len(beta) != w.dimension:
         raise DimensionMismatch(
             f"beta has length {len(beta)}, class dimension is {w.dimension}"
         )
-    walks = _closed_walk_counts(
-        g,
-        lambda e: w.classes[e],
-        lambda x, y: tuple(a + b for a, b in zip(x, y)),
-        n,
-    )
-    g0 = n
-    for b in beta:
-        g0 = math.gcd(g0, abs(b))
     total = 0
-    for j in _divisors(g0):
-        total += _mobius(j) * walks[n // j].get(tuple(b // j for b in beta), 0)
+    for j in _divisors(math.gcd(n, *beta)):
+        at = (vectors == [b // j for b in beta]).all(axis=1)
+        total += _mobius(j) * sum(walks[n // j - 1][at])
     if total % n != 0 or total < 0:
         raise AssertionError(f"inconsistent walk counts for (n={n}, beta={beta})")
     return total // n
@@ -459,19 +434,35 @@ def jitter_averaged_ratio(
 # ---------------------------------------------------------------------------
 # finite quotients and the density check
 
-class FiniteQuotient:
-    """Finite quotient receiving cycle classes.
+def _check_order(order: int) -> None:
+    if order > 100_000:
+        raise InvalidArgument(f"quotient order {order} too large to tabulate")
 
-    Either a lattice quotient Z^d / L Z^d (conjugacy classes are single
-    labels) or an explicit finite group with per-edge labels and classes
-    computed by brute force.
+
+class FiniteQuotient:
+    """Finite quotient receiving cycle classes, its elements numbered
+    0..|G|-1.
+
+    A lattice quotient Z^d / L numbers the element with Smith coordinates
+    x (0 <= x_i < s_i, s the Smith diagonal of L) by its mixed-radix index
+    and labels it x.  Products are index arithmetic, with no |G|^2 table;
+    each conjugacy class is one element, and an edge carries the label of
+    its class vector.  An explicit group keeps the order given and an index
+    table of its products built once; each class is keyed by its members
+    sorted by repr, and an edge carries its own label.  Orders above
+    100,000 are refused before any table is built.
     """
 
-    def __init__(self, *, lattice=None, group=None):
-        if (lattice is None) == (group is None):
-            raise InvalidArgument("specify exactly one of lattice/group data")
-        self._lattice = lattice
-        self._group = group
+    def __init__(self, class_of, class_keys, edge_element, *, identity=0,
+                 table=None, radix=None, reduce=None):
+        self.order = len(class_of)
+        self._class_of = class_of
+        self._class_keys = tuple(class_keys)
+        self._sizes = dict(zip(self._class_keys, np.bincount(class_of).tolist()))
+        self._reps = np.unique(class_of, return_index=True)[1]
+        self._edge_element = edge_element
+        self._identity = identity
+        self._table, self._radix, self._reduce = table, radix, reduce
 
     # -- constructors
 
@@ -488,10 +479,16 @@ class FiniteQuotient:
             raise InfiniteQuotient(
                 f"lattice matrix is rank-deficient (divisors {tuple(diag)})"
             )
-        order = 1
-        for x in diag:
-            order *= x
-        return cls(lattice={"dim": d, "transform": u, "diag": tuple(diag), "order": order})
+
+        def reduce(vec):
+            vec = [int(x) for x in vec]
+            if len(vec) != d:
+                raise DimensionMismatch(
+                    f"class vector has length {len(vec)}, lattice dimension {d}"
+                )
+            return tuple(sum(a * b for a, b in zip(row, vec)) % s for row, s in zip(u, diag))
+
+        return cls._mixed_radix(tuple(diag), reduce)
 
     @classmethod
     def from_modulus(cls, modulus: int, dim: int) -> "FiniteQuotient":
@@ -501,127 +498,77 @@ class FiniteQuotient:
         return cls.from_lattice([[m if i == j else 0 for j in range(dim)] for i in range(dim)])
 
     @classmethod
-    def from_group(cls, elements, table, edge_labels) -> "FiniteQuotient":
-        """Explicit finite group: elements, multiplication table (dict
-        keyed by pairs), and a label per edge."""
-        elems = list(elements)
-        mult = {(a, b): table[(a, b)] for a in elems for b in elems}
-        identity = None
-        for e in elems:
-            if all(mult[(e, x)] == x and mult[(x, e)] == x for x in elems):
-                identity = e
-                break
-        if identity is None:
-            raise InvalidArgument("multiplication table has no identity element")
-        inverse = {}
-        for a in elems:
-            for b in elems:
-                if mult[(a, b)] == identity:
-                    inverse[a] = b
-        if len(inverse) != len(elems):
-            raise InvalidArgument("multiplication table has non-invertible elements")
-        class_of = {}
-        classes = []
-        for a in elems:
-            if a in class_of:
-                continue
-            orbit = {mult[(mult[(h, a)], inverse[h])] for h in elems}
-            key = tuple(sorted(orbit, key=repr))
-            classes.append(key)
-            for x in orbit:
-                class_of[x] = key
-        labels = {(int(e[0]), int(e[1])): v for e, v in edge_labels.items()}
+    def _mixed_radix(cls, radix: tuple, reduce) -> "FiniteQuotient":
+        """Z^d / diag(radix); reduce maps an integer class vector to its
+        coordinates."""
+        order = math.prod(radix)
+        _check_order(order)
         return cls(
-            group={
-                "elements": tuple(elems),
-                "mult": mult,
-                "identity": identity,
-                "class_of": class_of,
-                "classes": tuple(classes),
-                "edge_labels": labels,
-            }
+            np.arange(order), itertools.product(*map(range, radix)),
+            lambda w, e: np.ravel_multi_index(reduce(w.classes[e]), radix),
+            radix=radix, reduce=reduce,
         )
+
+    @classmethod
+    def from_group(cls, elements, table, edge_labels) -> "FiniteQuotient":
+        """Explicit finite group: elements, a multiplication table indexable
+        by pairs (a, b), and a label per edge."""
+        elems = tuple(elements)
+        n = len(elems)
+        _check_order(n)
+        index = {x: i for i, x in enumerate(elems)}
+        mult = np.array([index[table[(a, b)]] for a in elems for b in elems]).reshape(n, n)
+        every = np.arange(n)
+        unit = np.flatnonzero((mult == every).all(axis=1) & (mult.T == every).all(axis=1))
+        if len(unit) == 0:
+            raise InvalidArgument("multiplication table has no identity element")
+        solves = mult == unit[0]
+        if not solves.any(axis=1).all():
+            raise InvalidArgument("multiplication table has non-invertible elements")
+        conjugates = mult[mult.T, solves.argmax(axis=1)]   # [a, h] -> h a h^-1
+        class_of = np.full(n, -1)
+        keys = []
+        for a in every:
+            if class_of[a] < 0:
+                class_of[conjugates[a]] = len(keys)
+                keys.append(tuple(sorted({elems[x] for x in conjugates[a]}, key=repr)))
+        labels = {(int(e[0]), int(e[1])): index[v] for e, v in edge_labels.items()}
+
+        def edge_element(w, edge):
+            if edge not in labels:
+                raise MissingEdgeValue(f"no group label on edge {edge}")
+            return labels[edge]
+
+        return cls(class_of, keys, edge_element, identity=int(unit[0]), table=mult)
 
     # -- shared interface
 
-    @property
-    def is_lattice(self) -> bool:
-        return self._lattice is not None
-
-    @property
-    def order(self) -> int:
-        if self.is_lattice:
-            return self._lattice["order"]
-        return len(self._group["elements"])
+    def _mul(self, x, a):
+        """Index of x a, for indices or index arrays x and a: the one
+        place where a lattice and an explicit group differ."""
+        if self._table is None:
+            r = self._radix
+            digits = zip(np.unravel_index(x, r), np.unravel_index(a, r))
+            return np.ravel_multi_index([i + j for i, j in digits], r, mode="wrap")
+        return self._table[x, a]
 
     def reduce(self, vec) -> tuple[int, ...]:
         """Lattice label of an integer class vector."""
-        lat = self._lattice
-        u, diag = lat["transform"], lat["diag"]
-        vec = [int(x) for x in vec]
-        if len(vec) != lat["dim"]:
-            raise DimensionMismatch(
-                f"class vector has length {len(vec)}, lattice dimension {lat['dim']}"
-            )
-        return tuple(
-            sum(u[i][j] * vec[j] for j in range(lat["dim"])) % diag[i]
-            for i in range(lat["dim"])
-        )
-
-    def edge_label(self, w: WeightSystem, edge):
-        if self.is_lattice:
-            return self.reduce(w.classes[edge])
-        labels = self._group["edge_labels"]
-        if edge not in labels:
-            raise MissingEdgeValue(f"no group label on edge {edge}")
-        return labels[edge]
-
-    def combine(self, x, y):
-        if self.is_lattice:
-            diag = self._lattice["diag"]
-            return tuple((a + b) % m for a, b, m in zip(x, y, diag))
-        return self._group["mult"][(x, y)]
-
-    def class_key(self, label):
-        if self.is_lattice:
-            return label
-        return self._group["class_of"][label]
-
-    def power_class(self, key, q: int):
-        """Class of the q-th power; well defined on conjugacy classes."""
-        if self.is_lattice:
-            diag = self._lattice["diag"]
-            return tuple((q * a) % m for a, m in zip(key, diag))
-        rep = key[0]
-        mult = self._group["mult"]
-        out = self._group["identity"]
-        for _ in range(q):
-            out = mult[(out, rep)]
-        return self._group["class_of"][out]
+        return self._reduce(vec)
 
     def all_class_keys(self) -> list:
-        if self.is_lattice:
-            diag = self._lattice["diag"]
-            if self.order > 100_000:
-                raise InvalidArgument(f"quotient order {self.order} too large to tabulate")
-            return [tuple(t) for t in itertools.product(*(range(m) for m in diag))]
-        return list(self._group["classes"])
+        return list(self._class_keys)
 
     def class_size(self, key) -> int:
-        if self.is_lattice:
-            return 1
-        return len(key)
+        return self._sizes[key]
 
     def cycle_class(self, w: WeightSystem, cycle: PrimeCycle):
-        """Class key of a cycle: lattice label of its class vector, or the
-        conjugacy class of its ordered edge-label product."""
-        if self.is_lattice:
-            return self.reduce(birkhoff(cycle, w).class_vector)
-        out = None
+        """Class key of a cycle: the class of its ordered edge-label
+        product (for a lattice, the label of its class vector)."""
+        x = self._identity
         for e in cycle.edges():
-            lab = self.edge_label(w, e)
-            out = lab if out is None else self._group["mult"][(out, lab)]
-        return self._group["class_of"][out]
+            x = self._mul(x, self._edge_element(w, e))
+        return self._class_keys[self._class_of[x]]
 
 
 @dataclass(frozen=True)
@@ -646,23 +593,9 @@ def chebotarev_distribution(
     inverted to prime-cycle counts class by class.
     """
     _check_weights_cover(g, w)
-    walks = _closed_walk_counts(
-        g, lambda e: quot.edge_label(w, e), quot.combine, n_max
-    )
-    # aggregate element labels into class keys before inverting
-    class_walks = {}
-    for m, table in walks.items():
-        agg: dict = {}
-        for label, cnt in table.items():
-            key = quot.class_key(label)
-            agg[key] = agg.get(key, 0) + cnt
-        class_walks[m] = agg
-    prime = _prime_counts_from_walks(class_walks, n_max, quot.power_class)
-
-    counts = {key: 0 for key in quot.all_class_keys()}
-    for m in range(1, n_max + 1):
-        for key, cnt in prime[m].items():
-            counts[key] = counts.get(key, 0) + cnt
+    walks = _closed_walks(g, w, quot, n_max)
+    per_class = sum(_prime_counts(walks, quot), np.zeros(len(quot._class_keys), dtype=object))
+    counts = dict(zip(quot.all_class_keys(), per_class.tolist()))
     for c in removed:
         if c.period <= n_max:
             key = quot.cycle_class(w, c)

@@ -37,6 +37,16 @@ BAD_INPUT = (
     "predict bench3 --T 10 --delta 1 --rho 0.5 --alpha 0",
     "count full2 --T 5 --delta 1 --rho 0.5 --alpha x",
     "equidist full2 --T 10 --delta 2 --rho 0.5 --alpha 0 --obs 3>1=1",
+    "margulis full2 --T 0",
+    "margulis full2 --T nan",
+    "margulis full2 --T inf",
+    "margulis full2 --T -1",
+    "count full2 --T inf --delta 1 --rho 0.5 --alpha 0",
+    "predict full2 --T inf --delta 1 --rho 0.5 --alpha 0",
+    "sweep full2 --Tmin 1 --Tmax 5 --step 0 --rho 0.5 --alpha 0",
+    "sweep full2 --Tmin 1 --Tmax 5 --step -1 --rho 0.5 --alpha 0",
+    "sweep full2 --Tmin 1 --Tmax inf --step 1 --rho 0.5 --alpha 0",
+    "chebotarev full2 --mod 2 --quotient x --n 4",
 )
 
 

@@ -55,6 +55,59 @@ def into2():
     )
 
 
+def character_sum_walks(g, classes, moduli, n_max):
+    """walks[m][x] for m <= n_max: closed m-step walks whose class sum is
+    x in Z^d / diag(moduli), from the character sum
+
+        #walks in class x = (1/|G|) sum_chi chi(x)^-1 tr(A_chi^m),
+
+    A_chi[i, j] = sum of chi(c_e) over the edges e = (i, j).  On a product
+    of cyclic groups the sum over characters is an n-dimensional DFT.  The
+    floats are trusted only where they are provably exact: every rounding
+    residue at most 0.05 and the walk total k^m below 2^52."""
+    k = g.vertex_count
+    grids = np.meshgrid(*(np.arange(n) for n in moduli), indexing="ij")
+    freqs = np.stack([x.ravel() / n for x, n in zip(grids, moduli)], axis=1)
+    a = np.zeros((len(freqs), k, k), dtype=complex)
+    for (i, j) in g.edges:
+        a[:, i - 1, j - 1] += np.exp(2j * math.pi * (freqs @ np.asarray(classes[(i, j)])))
+    power = np.broadcast_to(np.eye(k, dtype=complex), a.shape).copy()
+    walks = {}
+    for m in range(1, n_max + 1):
+        power = power @ a
+        tr = np.trace(power, axis1=1, axis2=2).reshape(moduli)
+        w = np.fft.fftn(tr).real / len(freqs)
+        rounded = np.rint(w)
+        assert np.abs(w - rounded).max() <= 0.05 and k ** m < 2 ** 52
+        walks[m] = {x: int(v) for x, v in np.ndenumerate(rounded) if v}
+    return walks
+
+
+def abelian_prime_counts(walks, moduli, n_max):
+    """Prime cycles per (period, residue), solved period by period from
+    W(m, x) = sum over q | m and y with q y = x of (m / q) P(m / q, y)."""
+    prime = {}
+    for m in range(1, n_max + 1):
+        acc = Counter(walks[m])
+        for q in range(2, m + 1):
+            if m % q == 0:
+                for y, cnt in prime[m // q].items():
+                    acc[tuple(q * t % n for t, n in zip(y, moduli))] -= (m // q) * cnt
+        assert all(v % m == 0 and v >= 0 for v in acc.values())
+        prime[m] = {x: v // m for x, v in acc.items() if v}
+    return prime
+
+
+def necklaces(k, n_max):
+    """a[m] for m <= n_max: the aperiodic k-ary necklaces of length m, the
+    prime cycles of period m of the full k-shift, from k^m = sum over
+    d | m of d a(d)."""
+    a = {}
+    for m in range(1, n_max + 1):
+        a[m] = (k**m - sum(d * a[d] for d in range(1, m) if m % d == 0)) // m
+    return a
+
+
 class TestFloorClass:
     def test_scalar(self):
         assert floor_class((0.3,), 10) == (3,)
@@ -249,6 +302,21 @@ class TestTraceOracle:
                 for beta, cnt in row.items():
                     from_table[(n, beta)] += cnt
             assert counts == from_table
+
+    def test_totals_past_int64_are_necklace_counts(self, bench3):
+        # unit roof on bench3 (the full 3-vertex graph): the prime cycles of
+        # period m are the aperiodic 3-ary necklaces, and 3^40 > 2^63, so
+        # the totals pin exact integers beyond int64
+        g = bench3.graph
+        classes = {e: (0, 0) for e in g.edges}
+        classes.update({(1, 1): (1, 0), (2, 2): (0, 1), (3, 3): (1, 1)})
+        w = WeightSystem(b=0, meridians=2, roof={e: 1.0 for e in g.edges}, classes=classes)
+        table = trace_prime_counts_table(g, w, 40)
+        want = necklaces(3, 40)
+        assert 3 ** 40 > 2 ** 63
+        for m in range(1, 41):
+            assert sum(table[m].values()) == want[m]
+            assert all(type(v) is int and v > 0 for v in table[m].values())
 
 
 class TestPredict:
@@ -469,6 +537,27 @@ class TestChebotarev:
         assert res.counts == dict(brute) | {
             k: 0 for k in res.counts if k not in brute
         }
+
+    def test_matches_character_sums(self, bench3):
+        # Z^2 / diag(31, 37) is abelian, so the walk counts per class come
+        # from characters alone, independently of the walk-count engine
+        moduli, n = (31, 37), 18
+        walks = character_sum_walks(bench3.graph, bench3.weights.classes, moduli, n)
+        prime = abelian_prime_counts(walks, moduli, n)
+        want = Counter()
+        for m in range(1, n + 1):
+            want.update(prime[m])
+        for c in bench3.removed:
+            vec = birkhoff(c, bench3.weights).class_vector
+            want[tuple(x % q for x, q in zip(vec, moduli))] -= 1
+        quot = FiniteQuotient.from_lattice(((31, 0), (0, 37)))
+        with pytest.warns(UserWarning):
+            res = chebotarev_distribution(
+                bench3.graph, bench3.weights, bench3.removed, quot, n
+            )
+        got = {x: res.counts[quot.reduce(x)] for x in itertools.product(*map(range, moduli))}
+        assert got == {x: want[x] for x in got}
+        assert sum(want.values()) == res.total
 
     def test_matches_enumeration_group(self):
         perms = list(itertools.permutations(range(3)))
