@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .counting import CountQuery, exact_window_count, trace_prime_counts_table
-from .graphs import enumerate_prime_cycles
+from .graphs import scan_cycles
 from .legendre import entropy_hessian, solve_u
 from .models import builtin_model
 from .thermo import flow_pressure, perron, pressure_gradient, pressure_hessian
@@ -163,9 +163,7 @@ def check_oracle_equivalence(n_top: int = 12):
                         f"window count {got}, oracle {want}"
                     )
         # the oracle's class decomposition must also exhaust each period
-        per_period = {n: 0 for n in range(1, n_top + 1)}
-        for c in enumerate_prime_cycles(m.graph, n_top):
-            per_period[c.period] += 1
+        per_period = np.bincount(scan_cycles(m.graph, n_max=n_top).period, minlength=n_top + 1)
         for n in range(1, n_top + 1):
             if sum(table[n].values()) != per_period[n]:
                 return False, (

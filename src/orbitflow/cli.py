@@ -33,6 +33,8 @@ from .legendre import direction_hull, entropy_hessian, solve_u
 from .models import load_model, serialize_model
 from .thermo import edge_arrays, pressure_jet
 
+_MAX_SWEEP_T = 10_000  # T values one sweep may evaluate
+
 
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
@@ -44,18 +46,12 @@ def _fmt_vec(vec) -> str:
     return ";".join(_fmt(x) for x in vec)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_vec(text: str, kind=float) -> tuple:
     try:
-        return tuple(float(x) for x in text.split(","))
+        return tuple(kind(x) for x in text.split(","))
     except ValueError:
-        raise InvalidArgument(f"expected comma-separated reals, got {text!r}") from None
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise InvalidArgument(f"expected comma-separated integers, got {text!r}") from None
+        what = "reals" if kind is float else "integers"
+        raise InvalidArgument(f"expected comma-separated {what}, got {text!r}") from None
 
 
 def _parse_obs(text: str) -> dict:
@@ -92,7 +88,7 @@ def cmd_validate(args) -> int:
 
 def cmd_pressure(args) -> int:
     m = load_model(args.model)
-    u = _parse_floats(args.u)
+    u = _parse_vec(args.u)
     jet = pressure_jet(*edge_arrays(m.graph, m.weights), u)
     _emit("u,pressure,gradient",
           [[_fmt_vec(u), _fmt(jet.pressure), _fmt_vec(jet.gradient)]])
@@ -101,7 +97,7 @@ def cmd_pressure(args) -> int:
 
 def cmd_entropy(args) -> int:
     m = load_model(args.model)
-    rho = _parse_floats(args.rho)
+    rho = _parse_vec(args.rho)
     dd = solve_u(m.graph, m.weights, rho)
     det = float(np.linalg.det(entropy_hessian(dd)))
     _emit(
@@ -127,8 +123,8 @@ def _query_from(args, m) -> CountQuery:
     return CountQuery(
         T=args.T,
         delta=args.delta,
-        rho=_parse_floats(args.rho),
-        alpha=_parse_ints(args.alpha),
+        rho=_parse_vec(args.rho),
+        alpha=_parse_vec(args.alpha, int),
         removed=m.removed,
     )
 
@@ -165,16 +161,17 @@ def cmd_sweep(args) -> int:
             f"need step > 0 and finite Tmin, Tmax, got step={args.step}, "
             f"Tmin={args.Tmin}, Tmax={args.Tmax}"
         )
-    T_list = []
-    t = args.Tmin
+    T_list, t = [], args.Tmin
     while t <= args.Tmax + 1e-12:
+        if len(T_list) == _MAX_SWEEP_T:  # the step is too small for the range, or to move T
+            raise InvalidArgument(f"step={args.step} gives more than {_MAX_SWEEP_T} T values")
         T_list.append(t)
         t += args.step
     rows = sweep(
         m.graph,
         m.weights,
-        _parse_floats(args.rho),
-        _parse_ints(args.alpha),
+        _parse_vec(args.rho),
+        _parse_vec(args.alpha, int),
         args.delta,
         T_list,
         removed=m.removed,

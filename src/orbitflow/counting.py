@@ -38,13 +38,12 @@ from .errors import (
     InfiniteQuotient,
     InvalidArgument,
     MissingEdgeValue,
-    MissingEdgeWeight,
     RoofNotUnit,
 )
 from .graphs import CycleScan, DirectedGraph, PrimeCycle, scan_cycles
 from .legendre import DirectionData, entropy_hessian
 from .thermo import equilibrium_measure, flow_pressure, integrate_observable
-from .weights import WeightSystem, smith_decomposition
+from .weights import WeightSystem, check_weights_cover, smith_decomposition
 
 
 @dataclass(frozen=True)
@@ -115,12 +114,6 @@ def target_class(w: WeightSystem, q: CountQuery) -> tuple[int, ...]:
     return tuple(f + a for f, a in zip(floor_class(q.rho, q.T), q.alpha))
 
 
-def _check_weights_cover(g: DirectedGraph, w: WeightSystem) -> None:
-    missing = g.edge_set - set(w.roof)
-    if missing:
-        raise MissingEdgeWeight(f"edges without weights: {sorted(missing)}")
-
-
 def _depth_cap(w: WeightSystem, max_len: float, budget_cap: int) -> int:
     depth = int(math.floor(max_len / w.r_min))
     if depth > budget_cap:
@@ -136,7 +129,7 @@ def _scan(
     *, classes: bool = True, phi: dict | None = None, words: bool = False,
 ) -> CycleScan:
     """Prime cycles of length <= max_len, removed ones excluded."""
-    _check_weights_cover(g, w)
+    check_weights_cover(g, w)
     return scan_cycles(
         g, n_max=_depth_cap(w, max_len, budget_cap), edge_length=w.roof, max_len=max_len,
         edge_vector=w.classes if classes else None, edge_value=phi,
@@ -228,8 +221,7 @@ def _mobius(n: int) -> int:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _closed_walks(g: DirectedGraph, w: WeightSystem, quot: "FiniteQuotient", n_max: int):
@@ -280,7 +272,7 @@ def _box_walks(g: DirectedGraph, w: WeightSystem, n_max: int):
     min(0, min c_i)) + 1, which holds every class of a walk of at most
     n_max steps once: the box, its walk counts, and the class vector of
     each box element.  Requires roof identically 1."""
-    _check_weights_cover(g, w)
+    check_weights_cover(g, w)
     if any(r != 1.0 for r in w.roof.values()):
         raise RoofNotUnit("this oracle requires roof identically 1")
     c = np.array([w.classes[e] for e in g.edges])
@@ -303,6 +295,8 @@ def trace_prime_counts_table(g: DirectedGraph, w: WeightSystem, n_max: int):
 def trace_prime_count(g: DirectedGraph, w: WeightSystem, n: int, beta) -> int:
     """Prime cycles of period n with class beta, via Mobius inversion over
     the simultaneous divisors of (n, beta).  Requires roof identically 1."""
+    if n < 1:
+        raise InvalidArgument(f"period must be >= 1, got {n}")
     _, walks, vectors = _box_walks(g, w, n)
     beta = tuple(int(x) for x in beta)
     if len(beta) != w.dimension:
@@ -592,7 +586,7 @@ def chebotarev_distribution(
     Counts are exact: closed-walk traces in the quotient's group algebra,
     inverted to prime-cycle counts class by class.
     """
-    _check_weights_cover(g, w)
+    check_weights_cover(g, w)
     walks = _closed_walks(g, w, quot, n_max)
     per_class = sum(_prime_counts(walks, quot), np.zeros(len(quot._class_keys), dtype=object))
     counts = dict(zip(quot.all_class_keys(), per_class.tolist()))

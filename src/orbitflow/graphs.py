@@ -227,6 +227,11 @@ class CycleScan:
     value: np.ndarray | None = None
     words: np.ndarray | None = None
 
+    def ordered(self) -> CycleScan:
+        """The same cycles in (period, vertex sequence) order; needs words."""
+        order = np.lexsort([*self.words.T[::-1], self.period])
+        return CycleScan(*(a if a is None else a[order] for a in vars(self).values()))
+
 
 def scan_cycles(
     g: DirectedGraph,
@@ -346,7 +351,5 @@ def scan_cycles(
 def enumerate_prime_cycles(g: DirectedGraph, n_max: int) -> list[PrimeCycle]:
     """All prime cycles of period <= n_max, canonical, sorted by
     (period, vertex sequence)."""
-    scan = scan_cycles(g, n_max=n_max, words=True)
-    found = [tuple(w[:t]) for w, t in zip(scan.words.tolist(), scan.period.tolist())]
-    found.sort(key=lambda w: (len(w), w))
-    return [PrimeCycle(w) for w in found]
+    scan = scan_cycles(g, n_max=n_max, words=True).ordered()
+    return [PrimeCycle(w[:t]) for w, t in zip(scan.words.tolist(), scan.period.tolist())]

@@ -7,6 +7,11 @@ u(rho) minimizes e(u) = flow_pressure(u) - <u, rho>, the entropy of the
 direction is the minimum value, and the entropy Hessian is minus the
 inverse pressure Hessian at u(rho).  Divergence of the Newton iteration
 is the signal that rho left the interior.
+
+scipy is imported lazily, where used: ``ConvexHull`` (Qhull) in
+``direction_hull`` for points of affine dimension >= 2 and ``linprog``
+(HiGHS) in ``hull_contains``.  Its import costs more CPU than most
+commands spend working, and only hull and membership queries need it.
 """
 
 from __future__ import annotations
@@ -15,18 +20,17 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
 
 from .errors import (
     DegenerateModel,
     DimensionMismatch,
+    EmptySelection,
     NonConvergence,
     OutsideCone,
     SingularHessian,
 )
-from .graphs import DirectedGraph, enumerate_prime_cycles
-from .weights import WeightSystem, birkhoff
+from .graphs import DirectedGraph
+from .weights import WeightSystem, cycle_sums
 from .thermo import edge_arrays, pressure_jet
 
 
@@ -67,31 +71,27 @@ _FLAT_TOL = 1e-13      # solve_u: predicted decrease below e's resolution
 
 
 def direction_hull(g: DirectedGraph, w: WeightSystem, n: int) -> DirectionHull:
-    """Hull of class/length ratios over prime cycles of period <= n."""
-    pts = []
-    seen = set()
-    for c in enumerate_prime_cycles(g, n):
-        data = birkhoff(c, w)
-        ratio = tuple(x / data.length for x in data.class_vector)
-        if ratio not in seen:
-            seen.add(ratio)
-            pts.append(ratio)
-    arr = np.asarray(pts, dtype=float)
-    center = arr.mean(axis=0)
-    centered = arr - center
-    sv = np.linalg.svd(centered, compute_uv=False) if len(pts) > 1 else np.array([])
-    cutoff = _COLLINEARITY_TOL * max(1.0, float(sv[0])) if sv.size else 0.0
-    dim = int((sv > cutoff).sum())
+    """Hull of class/length ratios over prime cycles of period <= n, each
+    distinct ratio once, in the (period, vertex sequence) order of its
+    first cycle."""
+    scan = cycle_sums(g, w, n)
+    if not len(scan.period):
+        raise EmptySelection(f"no prime cycle of period <= {n}")
+    ratios = scan.classes / scan.length[:, None]
+    arr = ratios[np.sort(np.unique(ratios, axis=0, return_index=True)[1])]
+    pts = tuple(map(tuple, arr.tolist()))
+    centered = arr - arr.mean(axis=0)
+    _, sv, basis = np.linalg.svd(centered, full_matrices=False)
+    dim = int((sv > _COLLINEARITY_TOL * max(1.0, float(sv[0]))).sum())
     if dim == 0:
         vertices = (pts[0],)
     elif dim == 1:
-        direction = np.linalg.svd(centered, full_matrices=False)[2][0]
-        along = centered @ direction
+        along = centered @ basis[0]
         vertices = (pts[int(np.argmin(along))], pts[int(np.argmax(along))])
     else:
-        basis = np.linalg.svd(centered, full_matrices=False)[2][:dim]
-        projected = centered @ basis.T
-        hull = ConvexHull(projected)
+        from scipy.spatial import ConvexHull
+
+        hull = ConvexHull(centered @ basis[:dim].T)
         vertices = tuple(pts[i] for i in sorted(hull.vertices))
     return DirectionHull(tuple(pts), vertices, dim)
 
@@ -102,6 +102,8 @@ def hull_contains(points, rho, tol: float = 1e-9) -> bool:
     Solved as a small LP: minimize the sup-norm slack of a convex
     combination hitting rho.
     """
+    from scipy.optimize import linprog
+
     pts = np.asarray(points, dtype=float)
     rho = np.asarray(rho, dtype=float).reshape(-1)
     n, d = pts.shape

@@ -131,12 +131,9 @@ def parse_model(text: str) -> ModelSpec:
 
     for section, key, value, line_no in _tokenize(text):
         if key is None:  # new section header
-            if section == "edge":
+            if section in ("edge", "quotient"):
                 current_record = {"_line": line_no}
-                edges.append(current_record)
-            elif section == "quotient":
-                current_record = {"_line": line_no}
-                quotients_raw.append(current_record)
+                (edges if section == "edge" else quotients_raw).append(current_record)
             elif section == "chords":
                 chords_raw["line"] = line_no
                 current_record = None
@@ -149,9 +146,9 @@ def parse_model(text: str) -> ModelSpec:
             if key in header:
                 raise ModelSyntaxError(f"line {line_no}: repeated model key {key!r}")
             header[key] = value
-        elif section == "edge":
+        elif section in ("edge", "quotient"):
             if current_record is None or key in current_record:
-                raise ModelSyntaxError(f"line {line_no}: stray edge key {key!r}")
+                raise ModelSyntaxError(f"line {line_no}: stray {section} key {key!r}")
             current_record[key] = (value, line_no)
         elif section == "chords":
             if key == "tree":
@@ -166,10 +163,6 @@ def parse_model(text: str) -> ModelSpec:
             if key != "cycle":
                 raise ModelSyntaxError(f"line {line_no}: unknown removed key {key!r}")
             removed_raw.append((_parse_int_vector(value, line_no), line_no))
-        elif section == "quotient":
-            if current_record is None or key in current_record:
-                raise ModelSyntaxError(f"line {line_no}: stray quotient key {key!r}")
-            current_record[key] = (value, line_no)
 
     problems: list[str] = []
 

@@ -7,13 +7,16 @@ undirected edge graph: tree edges get the zero vector and every chord gets
 a chosen generator value, traversal in the edge's direction counting +1.
 
 Cycle data (total length and summed class vector) are plain Birkhoff sums
-over the traversed edges.  Lattice diagnostics reduce stacked cycle class
-vectors with an exact integer Smith normal form.
+over the traversed edges; ``cycle_sums`` gives them for every prime cycle
+up to a period from one ``scan_cycles`` call.  Lattice diagnostics reduce
+stacked cycle class vectors with an exact integer Smith normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -23,7 +26,7 @@ from .errors import (
     MissingEdgeWeight,
     NoMeridians,
 )
-from .graphs import DirectedGraph, Edge, PrimeCycle, enumerate_prime_cycles
+from .graphs import CycleScan, DirectedGraph, Edge, PrimeCycle, scan_cycles
 
 
 @dataclass(frozen=True)
@@ -296,12 +299,27 @@ def smith_decomposition(mat):
     return u, diag, v
 
 
+def check_weights_cover(g: DirectedGraph, w: WeightSystem) -> None:
+    missing = g.edge_set - set(w.roof)
+    if missing:
+        raise MissingEdgeWeight(f"edges without weights: {sorted(missing)}")
+
+
+def cycle_sums(g: DirectedGraph, w: WeightSystem, n_max: int) -> CycleScan:
+    """Length and class of every prime cycle of period <= n_max, summed as
+    ``birkhoff`` sums them, in (period, vertex sequence) order."""
+    check_weights_cover(g, w)
+    return scan_cycles(g, n_max=n_max, edge_length=w.roof, edge_vector=w.classes,
+                       words=True).ordered()
+
+
 def generation_check(g: DirectedGraph, w: WeightSystem, n_probe: int) -> GenerationCheck:
     """Do the class vectors of cycles up to period n_probe generate the
     full integer lattice?  True iff the stacked class matrix has full rank
-    and all elementary divisors equal 1."""
-    rows = [list(birkhoff(c, w).class_vector) for c in enumerate_prime_cycles(g, n_probe)]
-    rows = [r for r in rows if any(r)]
+    and all elementary divisors equal 1.  Repeated rows span nothing new,
+    so each distinct nonzero class enters the Smith form once."""
+    classes = cycle_sums(g, w, n_probe).classes
+    rows = np.unique(classes[classes.any(axis=1)], axis=0).tolist()
     if not rows:
         return GenerationCheck(False, (), 0)
     divisors = smith_normal_form(rows)
@@ -326,22 +344,16 @@ def lattice_length_heuristic(
     flagged then.  An empty result means no lattice structure was detected
     at the probed scales.
     """
-    lengths = [birkhoff(c, w).length for c in enumerate_prime_cycles(g, n_probe)]
-    if not lengths:
-        return []
-    base = lengths[0]
-    diffs = [x - base for x in lengths]
-    if not any(abs(dx) > tol for dx in diffs):
+    grid = [float(eps) for eps in eps_grid]
+    if not all(0.0 < eps < np.inf for eps in grid):
+        raise InvalidArgument(f"scales must be positive and finite, got {grid}")
+    lengths = cycle_sums(g, w, n_probe).length
+    diffs = lengths - lengths[:1]
+    if not (np.abs(diffs) > tol).any():
         return []
     flagged = []
-    for eps in eps_grid:
-        eps = float(eps)
-        ok = True
-        for dx in diffs:
-            q = dx / eps
-            if abs(q - round(q)) * eps > tol:
-                ok = False
-                break
-        if ok:
+    for eps in grid:
+        q = diffs / eps
+        if not (np.abs(q - np.round(q)) * eps > tol).any():
             flagged.append(eps)
     return flagged

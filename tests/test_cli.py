@@ -46,6 +46,11 @@ BAD_INPUT = (
     "sweep full2 --Tmin 1 --Tmax 5 --step 0 --rho 0.5 --alpha 0",
     "sweep full2 --Tmin 1 --Tmax 5 --step -1 --rho 0.5 --alpha 0",
     "sweep full2 --Tmin 1 --Tmax inf --step 1 --rho 0.5 --alpha 0",
+    "sweep full2 --Tmin 1 --Tmax 2 --step 1e-17 --rho 0.5 --alpha 0",
+    "sweep full2 --Tmin 1 --Tmax 20001 --step 2 --rho 0.5 --alpha 0",
+    # the first step moves T, the second rounds back onto it (a tie to even)
+    "sweep full2 --Tmin 1.0000000000000002 --Tmax 1.000000000000001 "
+    "--step 1.1102230246251565e-16 --rho 0.5 --alpha 0",
     "chebotarev full2 --mod 2 --quotient x --n 4",
 )
 
@@ -118,6 +123,15 @@ class TestHull:
         assert lines[0] == "role,coords"
         assert "dim,1" in lines[1]
         assert any(line == "vertex,1.0" for line in lines)
+
+    def test_no_cycle_within_n_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "cycle3.model"
+        p.write_text(
+            "[model]\nname = cycle3\nb = 1\nn_removed = 0\nvertices = 3\n"
+            + "".join(f"[edge] from={a} to={b} roof=1.0 class=1\n" for a, b in ((1, 2), (2, 3), (3, 1)))
+        )
+        code, out, err = run(capsys, "hull", str(p), "--n", "2")
+        assert code == 2 and out == "" and err.count("error:") == 1
 
 
 class TestCountPredict:

@@ -20,6 +20,7 @@ from orbitflow import (
     EmptySelection,
     FiniteQuotient,
     InfiniteQuotient,
+    InvalidArgument,
     PrimeCycle,
     RoofNotUnit,
     WeightSystem,
@@ -270,6 +271,11 @@ class TestTraceOracle:
         )
         with pytest.raises(RoofNotUnit):
             trace_prime_count(FULL2, w, 3, (0,))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_period_rejected(self, n):
+        with pytest.raises(InvalidArgument):
+            trace_prime_count(FULL2, into2(), n, (0,))
 
     def test_spec_values(self):
         w = into2()

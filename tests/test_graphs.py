@@ -141,6 +141,11 @@ class TestEnumerate:
         keys = [(c.period, c.vertices) for c in a]
         assert keys == sorted(keys)
 
+    def test_sorted_when_blocks_reorder_the_scan(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_BLOCK", 3)
+        got = [c.vertices for c in enumerate_prime_cycles(FULL2, 8)]
+        assert got == brute_force_prime_cycles(FULL2, 8)
+
     def test_no_two_rotations(self):
         for g in (FULL2, GOLDEN, CYCLE3):
             seen = set()
