@@ -1,9 +1,12 @@
 """Periodic-orbit counting by length window and class.
 
-Exact counts are numpy reductions over one canonical-cycle scan
-(``graphs.scan_cycles``), pruned by the length bound; the admissible
-symbolic depth floor(T / r_min) is capped, and counts beyond the cap are
-refused rather than estimated.
+Exact counts and observable averages are numpy reductions over one
+canonical-cycle scan (``graphs.scan_cycles``), pruned by the length bound;
+the admissible symbolic depth floor(T / r_min) is capped, and counts
+beyond the cap are refused rather than estimated.  The scan is memoised:
+one scan per key (the graph, the roof and class of every edge, the length
+bound, the depth and the removed words), reused by every counter that
+asks for the same key, its arrays read-only, and at most one scan held.
 
 The asymptotic predictor evaluates the window-count growth law for a
 direction rho inside the attainable set: a Gaussian prefactor from the
@@ -124,17 +127,49 @@ def _depth_cap(w: WeightSystem, max_len: float, budget_cap: int) -> int:
     return max(depth, 1)
 
 
+# the last full scan, as (key, scan); replaced whole, never edited
+_memo: tuple | None = None
+
+
 def _scan(
     g: DirectedGraph, w: WeightSystem, max_len: float, removed, budget_cap: int,
-    *, classes: bool = True, phi: dict | None = None, words: bool = False,
+    *, fill: bool = True,
 ) -> CycleScan:
-    """Prime cycles of length <= max_len, removed ones excluded."""
+    """Prime cycles of length <= max_len, removed ones excluded, with
+    lengths, classes and words in read-only arrays: the memoised scan if
+    the key matches, else a new full scan that replaces it.  A count-only
+    caller (fill=False) gets lengths alone and leaves the memo as it was.
+    """
+    global _memo
     check_weights_cover(g, w)
-    return scan_cycles(
-        g, n_max=_depth_cap(w, max_len, budget_cap), edge_length=w.roof, max_len=max_len,
-        edge_vector=w.classes if classes else None, edge_value=phi,
-        exclude=[c.vertices for c in removed], words=words,
-    )
+    n_max = _depth_cap(w, max_len, budget_cap)
+    exclude = tuple(c.vertices for c in removed)
+    # content, not id(w): a WeightSystem's dicts can be edited in place
+    key = (g, [(w.roof[e], w.classes[e]) for e in sorted(g.edge_set)],
+           float(max_len), n_max, exclude)
+    if _memo is not None and _memo[0] == key:
+        return _memo[1]
+    args = dict(n_max=n_max, edge_length=w.roof, max_len=max_len, exclude=exclude)
+    if not fill:
+        return scan_cycles(g, **args)
+    _memo = None  # frees the old scan before the new one is built
+    scan = scan_cycles(g, **args, edge_vector=w.classes, words=True)
+    for a in vars(scan).values():
+        a.flags.writeable = False
+    _memo = key, scan
+    return scan
+
+
+def _edge_sums(g: DirectedGraph, words, period, phi: dict) -> np.ndarray:
+    """Sum of phi around each cycle, accumulated in word order with the
+    closing edge last, as ``birkhoff`` sums; the padding adds exact 0s."""
+    table = np.zeros((g.vertex_count + 1,) * 2)
+    for e in g.edge_set:
+        table[e] = phi[e]
+    words = words.astype(np.intp)
+    heads = np.roll(words, -1, axis=1)
+    heads[np.arange(len(words)), period - 1] = words[:, 0]
+    return np.cumsum(table[words, heads], axis=1)[:, -1]
 
 
 def _in_window(lengths, classes, T, delta, target) -> np.ndarray:
@@ -195,7 +230,7 @@ def margulis_total(
     """
     if not (math.isfinite(T) and T > 0):
         raise InvalidArgument(f"need finite T > 0, got T={T}")
-    count = len(_scan(g, w, T, removed, budget_cap, classes=False).period)
+    count = len(_scan(g, w, T, removed, budget_cap, fill=False).period)
     h = flow_pressure(g, w, np.zeros(w.dimension))
     return MargulisCount(count, math.exp(h * T) / (h * T))
 
@@ -356,9 +391,14 @@ def evaluate_query(
     q: CountQuery,
     *,
     budget_cap: int = 32,
+    table=None,
 ) -> CountResult:
-    """Exact window count and its prediction, bundled with the ratio."""
-    exact = exact_window_count(g, w, q, budget_cap=budget_cap)
+    """Exact window count and its prediction, bundled with the ratio.
+    ``table`` may carry a precomputed (lengths, classes) pair covering q.T."""
+    if table is None:
+        exact = exact_window_count(g, w, q, budget_cap=budget_cap)
+    else:
+        exact = window_count_from_table(*table, q.T, q.delta, target_class(w, q))
     predicted = predict_count(g, w, dd, q)
     ratio = exact / predicted if predicted > 0 else float("nan")
     return CountResult(exact, predicted, ratio, target_class(w, q))
@@ -375,22 +415,22 @@ def sweep(
     removed=(),
     budget_cap: int = 32,
 ) -> list[SweepRow]:
-    """Exact and predicted window counts for each T, one dual solve."""
+    """Exact and predicted window counts for each T, one dual solve and
+    one cycle table at the largest T."""
     from .legendre import solve_u
 
     rho = tuple(float(x) for x in rho)
     alpha = tuple(int(x) for x in alpha)
     dd = solve_u(g, w, rho)
+    queries = [CountQuery(T=float(T), delta=float(delta), rho=rho, alpha=alpha, removed=removed)
+               for T in T_list]
+    if not queries:
+        return []
+    table = cycle_table(g, w, max(q.T for q in queries), removed=removed, budget_cap=budget_cap)
     rows = []
-    for T in T_list:
-        q = CountQuery(T=float(T), delta=float(delta), rho=rho, alpha=alpha, removed=tuple(removed))
-        res = evaluate_query(g, w, dd, q, budget_cap=budget_cap)
-        rows.append(
-            SweepRow(
-                float(T), float(delta), res.target_class,
-                res.exact, res.predicted, res.ratio,
-            )
-        )
+    for q in queries:
+        res = evaluate_query(g, w, dd, q, table=table)
+        rows.append(SweepRow(q.T, q.delta, res.target_class, res.exact, res.predicted, res.ratio))
     return rows
 
 
@@ -626,15 +666,16 @@ def equidistribution_test(
         raise MissingEdgeValue(f"observable undefined on edges: {sorted(missing)}")
     target = target_class(w, q)
     phi_vals = {e: float(v) for e, v in phi.items()}
-    scan = _scan(g, w, q.T, q.removed, budget_cap, phi=phi_vals, words=True)
+    scan = _scan(g, w, q.T, q.removed, budget_cap)
     sel = np.flatnonzero(_in_window(scan.length, scan.classes, q.T, q.delta, target))
     if len(sel) == 0:
         raise EmptySelection("no orbit matches the window and class constraints")
     # summed in lexicographic word order, so the float result does not
     # depend on the order in which the scan emits cycles
     sel = sel[np.lexsort(scan.words[sel].T[::-1])]
+    sums = _edge_sums(g, scan.words[sel], scan.period[sel], phi_vals)
     total = 0.0
-    for s, length in zip(scan.value[sel].tolist(), scan.length[sel].tolist()):
+    for s, length in zip(sums.tolist(), scan.length[sel].tolist()):
         total += s / length
     expected = integrate_observable(equilibrium_measure(g, w, dd.u), w, phi_vals)
     return EquidistributionResult(total / len(sel), expected, len(sel))

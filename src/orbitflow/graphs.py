@@ -215,16 +215,15 @@ _BLOCK = 4096
 
 @dataclass(frozen=True, eq=False)
 class CycleScan:
-    """One entry per prime cycle found by ``scan_cycles``: ``length`` and
-    ``value`` are edge sums in word order with the closing edge last, as
-    ``birkhoff`` takes them, ``classes`` the n x d class sums, ``words``
-    the canonical vertex sequences padded with 0; None when not asked for.
+    """One entry per prime cycle found by ``scan_cycles``: ``length`` is
+    the edge sum in word order with the closing edge last, as ``birkhoff``
+    takes it, ``classes`` the n x d class sums, ``words`` the canonical
+    vertex sequences padded with 0; None when not asked for.
     """
 
     period: np.ndarray
     length: np.ndarray | None = None
     classes: np.ndarray | None = None
-    value: np.ndarray | None = None
     words: np.ndarray | None = None
 
     def ordered(self) -> CycleScan:
@@ -240,17 +239,16 @@ def scan_cycles(
     edge_length: dict | None = None,
     max_len: float | None = None,
     edge_vector: dict | None = None,
-    edge_value: dict | None = None,
     exclude=(),
     words: bool = False,
 ) -> CycleScan:
     """All prime cycles of period <= n_max, as per-cycle arrays.
 
-    Sums ``edge_length`` (the cycle length), ``edge_vector`` (the class)
-    and ``edge_value`` (an observable) when given.  With ``max_len``
-    (requires edge_length), branches that cannot close within the bound
-    are pruned and only cycles of length <= max_len are kept.  Canonical
-    words listed in ``exclude`` are left out.
+    Sums ``edge_length`` (the cycle length) and ``edge_vector`` (the
+    class) when given.  With ``max_len`` (requires edge_length), branches
+    that cannot close within the bound are pruned and only cycles of
+    length <= max_len are kept.  Canonical words listed in ``exclude`` are
+    left out.
     """
     require_valid(g)
     if n_max < 1:
@@ -272,8 +270,7 @@ def scan_cycles(
     sums = {
         name: table(values, dtype)
         for name, values, dtype in (("length", edge_length, float),
-                                    ("classes", edge_vector, np.int64),
-                                    ("value", edge_value, float))
+                                    ("classes", edge_vector, np.int64))
         if values is not None
     }
     tables = list(sums.values())

@@ -86,7 +86,8 @@ def transfer_matrix(g: DirectedGraph, w: WeightSystem, u, s: float) -> np.ndarra
 
 
 def _dominant_pair(m: np.ndarray):
-    """Eigenvalue of largest real part and the modulus of its eigenvector.
+    """Eigenvalue of largest real part, the modulus of its eigenvector, and
+    all the eigenvalues.
 
     For a primitive nonnegative matrix that eigenvalue is the Perron root
     (it strictly dominates every other in modulus) and its eigenvector is
@@ -94,22 +95,46 @@ def _dominant_pair(m: np.ndarray):
     """
     vals, vecs = np.linalg.eig(m)
     top = int(np.argmax(vals.real))
-    return float(vals[top].real), np.abs(vecs[:, top])
+    return float(vals[top].real), np.abs(vecs[:, top]), vals
+
+
+def _collatz_wielandt(m: np.ndarray):
+    """Power iteration from the all-ones vector until the Collatz-Wielandt
+    bounds min_i, max_i of (M x)_i / x_i on the Perron root agree to a few
+    ulps: the root and x."""
+    x = np.ones(len(m))
+    for _ in range(64):
+        y = m @ x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo, hi = float((y / x).min()), float((y / x).max())
+        if math.isfinite(hi) and hi - lo <= 4.0 * np.finfo(float).eps * hi:
+            return hi, x
+        x = y / y.max()
+    raise NonConvergence("Perron vector not positive, nor settled by 64 power steps")
 
 
 def _perron_data(m: np.ndarray) -> PerronData:
-    lam, right = _dominant_pair(m)
-    _, left = _dominant_pair(m.T)
-    right = right / right.max()
-    left = left / float(left @ right)
-    if not (math.isfinite(lam) and lam > 0.0 and np.isfinite(left).all()
-            and (right > 0.0).all() and (left > 0.0).all()):
-        raise NonConvergence("Perron data lost finiteness or positivity")
-    return PerronData(lam, right, left)
+    lam, right, vals = _dominant_pair(m)
+    _, left, _ = _dominant_pair(m.T)
+    for polished in (False, True):
+        right = right / right.max()
+        left = left / float(left @ right)
+        if (math.isfinite(lam) and lam > 0.0 and np.isfinite(left).all()
+                and (right > 0.0).all() and (left > 0.0).all()):
+            return PerronData(lam, right, left)
+        if polished or (np.abs(vals - lam) <= 4.0 * np.finfo(float).eps * lam).sum() < 2:
+            raise NonConvergence("Perron data lost finiteness or positivity")
+        # a dominant eigenvalue repeated in double precision (a nearly
+        # reducible matrix) can come back with a vector such as (1, 0);
+        # polish that case only.  A vector that lost entries to underflow,
+        # far out in u, stays a refusal: solve_u's line search relies on it
+        (lam, right), (_, left) = _collatz_wielandt(m), _collatz_wielandt(m.T)
 
 
 def perron(m) -> PerronData:
-    """Dominant eigen-triple via dense eigensolves of M and its transpose.
+    """Dominant eigen-triple via dense eigensolves of M and its transpose,
+    polished by power iteration when a dominant eigenvalue repeated in
+    double precision leaves an eigenvector that is not positive.
 
     Requires a nonnegative matrix whose support pattern is primitive
     (strongly connected and aperiodic); otherwise the Perron root need not

@@ -26,6 +26,7 @@ from orbitflow import (
     WeightSystem,
     birkhoff,
     chebotarev_distribution,
+    counting,
     cycle_table,
     enumerate_prime_cycles,
     equidistribution_test,
@@ -34,6 +35,7 @@ from orbitflow import (
     jitter_averaged_ratio,
     margulis_total,
     predict_count,
+    pressure_gradient,
     solve_u,
     sweep,
     target_class,
@@ -168,12 +170,6 @@ def test_counters_match_brute_force_on_random_models(seed, k, d, data):
     kept = {c: b for c, b in brute.items() if b.length <= T and c not in removed}
     removed = tuple(PrimeCycle(c) for c in removed)
 
-    lengths, classes = cycle_table(g, w, T, removed=removed)
-    assert sorted(zip(lengths.tolist(), map(tuple, classes.tolist()))) == sorted(
-        (b.length, b.class_vector) for b in kept.values()
-    )
-    assert margulis_total(g, w, removed, T).exact == len(kept)
-
     # a window reaching down to one kept cycle, and its class as target
     some = data.draw(st.sampled_from(sorted(kept))) if kept else None
     delta = data.draw(st.floats(T - kept[some].length if kept else 0.1, T))
@@ -185,18 +181,125 @@ def test_counters_match_brute_force_on_random_models(seed, k, d, data):
         (c, b.length) for c, b in kept.items()
         if b.length > T - delta and b.class_vector == beta
     ]
-    assert exact_window_count(g, w, q) == len(selected)
-
     phi = {e: float(rng.normal()) for e in g.edges}
     dd = DirectionData(rho=rho, u=(0.0,) * d, entropy=0.0, pressure_at_u=0.0,
                        hessian_h=-np.eye(d))
-    if selected:
-        res = equidistribution_test(g, w, dd, q, phi)
-        assert res.n_orbits == len(selected)
-        assert res.empirical == _brute_mean(selected, phi)
-    else:
-        with pytest.raises(EmptySelection):
-            equidistribution_test(g, w, dd, q, phi)
+
+    def table():
+        lengths, classes = cycle_table(g, w, T, removed=removed)
+        return sorted(zip(lengths.tolist(), map(tuple, classes.tolist())))
+
+    def equi():
+        try:
+            res = equidistribution_test(g, w, dd, q, phi)
+        except EmptySelection:
+            return None
+        return res.n_orbits, res.empirical
+
+    counters = {
+        "total": lambda: margulis_total(g, w, removed, T).exact,
+        "table": table,
+        "window": lambda: exact_window_count(g, w, q),
+        "equi": equi,
+    }
+    counting._memo = None
+    cold = {name: run() for name, run in counters.items()}
+    warm = {name: counters[name]() for name in reversed(counters)}
+    assert warm == cold
+
+    assert cold["table"] == sorted((b.length, b.class_vector) for b in kept.values())
+    assert cold["total"] == len(kept)
+    assert cold["window"] == len(selected)
+    assert cold["equi"] == ((len(selected), _brute_mean(selected, phi)) if selected else None)
+
+
+class TestScanMemo:
+    """One scan per (graph, weights content, T, removed), shared by every
+    counter; results always equal those of a cold memo."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        real = counting.scan_cycles
+
+        def counted(g, **kwargs):
+            calls.append(g)
+            return real(g, **kwargs)
+
+        monkeypatch.setattr(counting, "scan_cycles", counted)
+        monkeypatch.setattr(counting, "_memo", None)
+        return calls
+
+    @staticmethod
+    def results(g, w, T, removed):
+        """Every scan-fed counter at T, in a comparable form."""
+        rho = tuple(pressure_gradient(g, w, np.zeros(w.dimension)))
+        dd = DirectionData(rho=rho, u=(0.0,) * w.dimension, entropy=0.0,
+                           pressure_at_u=0.0, hessian_h=-np.eye(w.dimension))
+        q = CountQuery(T=T, delta=1.0, rho=rho, alpha=(0,) * w.dimension, removed=removed)
+        lengths, classes = cycle_table(g, w, T, removed=removed)
+        equi = equidistribution_test(g, w, dd, q, {e: 0.1 * i for i, e in enumerate(g.edges)})
+        return (lengths.tolist(), classes.tolist(), exact_window_count(g, w, q),
+                margulis_total(g, w, removed, T).exact, equi.empirical, equi.n_orbits)
+
+    def cold(self, *args):
+        counting._memo = None
+        return self.results(*args)
+
+    def test_orbit_counts_op_scans_bench3_once(self, scans, bench3, full2):
+        g, w, removed = bench3.graph, bench3.weights, bench3.removed
+        rho = tuple(pressure_gradient(g, w, np.zeros(2)))
+        dd = solve_u(g, w, rho)
+        q = CountQuery(T=20.0, delta=1.0, rho=rho, alpha=(0, 0), removed=removed)
+        cycle_table(g, w, 20.0, removed=removed)
+        exact_window_count(g, w, q)
+        margulis_total(g, w, removed, 20.0)
+        for hot in sorted(g.edges):
+            equidistribution_test(g, w, dd, q, {e: float(e == hot) for e in g.edges})
+        margulis_total(full2.graph, full2.weights, full2.removed, 20.0)
+        exact_window_count(g, w, q)   # the count-only full2 scan kept the memo
+        assert scans.count(g) == 1
+        assert len(scans) == 2
+
+    def test_changed_inputs_rescan(self, scans, bench3):
+        g, removed = bench3.graph, bench3.removed
+        w = WeightSystem(bench3.weights.b, bench3.weights.meridians,
+                         dict(bench3.weights.roof), dict(bench3.weights.classes))
+        base = self.results(g, w, 12.0, removed)
+        assert len(scans) == 1
+        assert self.results(g, w, 12.0, removed) == base
+        assert len(scans) == 1
+
+        edge = sorted(g.edges)[4]
+        other = WeightSystem(w.b, w.meridians, {**w.roof, edge: w.roof[edge] + 0.25}, w.classes)
+        cases = [
+            (g, w, 12.5, removed),
+            (g, w, 12.0, removed[:1]),
+            (g, other, 12.0, removed),
+        ]
+        for args in cases:
+            before = len(scans)
+            got = self.results(*args)
+            assert len(scans) == before + 1
+            assert got == self.cold(*args) != base
+
+        self.results(g, w, 12.0, removed)
+        before = len(scans)
+        w.roof[edge] += 0.25            # edited in place: same object, new content
+        got = self.results(g, w, 12.0, removed)
+        assert len(scans) == before + 1
+        assert got == self.cold(g, w, 12.0, removed) == self.cold(g, other, 12.0, removed)
+
+    def test_returned_arrays_do_not_alias_the_memo(self, bench3):
+        g, w, removed = bench3.graph, bench3.weights, bench3.removed
+        base = self.cold(g, w, 12.0, removed)
+        lengths, classes = cycle_table(g, w, 12.0, removed=removed)
+        lengths[:] = 0.0
+        classes[:] = 0
+        assert self.results(g, w, 12.0, removed) == base
+        scan = counting._scan(g, w, 12.0, removed, 32)
+        for a in vars(scan).values():
+            assert not a.flags.writeable
 
 
 class TestExactWindowCount:

@@ -18,6 +18,7 @@ from orbitflow import (
     scan_cycles,
     validate_graph,
 )
+from orbitflow.counting import _edge_sums
 
 from conftest import brute_force_prime_cycles, random_strong_graph
 
@@ -168,11 +169,12 @@ class TestEnumerate:
         g, w = bench3.graph, bench3.weights
         phi = {e: 0.1 * i + 0.3 for i, e in enumerate(sorted(g.edges))}
         scan = scan_cycles(g, n_max=17, edge_length=w.roof, max_len=12.0,
-                           edge_vector=w.classes, edge_value=phi, words=True)
+                           edge_vector=w.classes, words=True)
         assert len(scan.period) > 100
+        values = _edge_sums(g, scan.words, scan.period, phi)
         for word, t, length, cls, value in zip(
             scan.words.tolist(), scan.period.tolist(), scan.length.tolist(),
-            scan.classes.tolist(), scan.value.tolist(),
+            scan.classes.tolist(), values.tolist(),
         ):
             assert word[t:] == [0] * (17 - t)
             c = PrimeCycle(tuple(word[:t]))

@@ -85,6 +85,14 @@ class TestPerron:
         with pytest.raises(NotPrimitive):
             perron([[1.0, 1.0], [0.0, 1.0]])
 
+    def test_repeated_dominant_eigenvalue(self):
+        # the two eigenvalues 1 +- 1e-200 are equal in double precision and
+        # the eigensolver returns (1, 0); power iteration recovers (1, 1)
+        pd = perron([[1.0, 1e-200], [1e-200, 1.0]])
+        assert pd.eigenvalue == 1.0
+        assert pd.right.tolist() == [1.0, 1.0]
+        assert pd.left.tolist() == [0.5, 0.5]
+
     def test_non_finite_entries_do_not_converge(self):
         with pytest.raises(NonConvergence):
             perron([[1.0, math.inf], [1.0, 1.0]])
