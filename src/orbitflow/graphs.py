@@ -76,9 +76,6 @@ class DirectedGraph:
                 out[a].append(b)
         return tuple(tuple(sorted(s)) for s in out)
 
-    def successors(self, i: int) -> tuple[int, ...]:
-        return self._succ[i]
-
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix, entry [i-1, j-1] for the edge i -> j."""
         k = self.vertex_count
@@ -131,17 +128,12 @@ def validate_graph(g: DirectedGraph) -> list[str]:
         elif (a, b) in seen:
             problems.append(f"duplicate edge ({a},{b})")
         seen.add((a, b))
-    out_deg = {v: 0 for v in range(1, k + 1)}
-    in_deg = {v: 0 for v in range(1, k + 1)}
-    for (a, b) in g.edge_set:
-        if 1 <= a <= k and 1 <= b <= k:
-            out_deg[a] += 1
-            in_deg[b] += 1
-    for v in range(1, k + 1):
-        if out_deg[v] == 0:
-            problems.append(f"vertex {v} has out-degree 0")
-        if in_deg[v] == 0:
-            problems.append(f"vertex {v} has in-degree 0")
+    inside = [(a, b) for (a, b) in seen if 1 <= a <= k and 1 <= b <= k]
+    for kind, ends in (("out", {a for a, _ in inside}), ("in", {b for _, b in inside})):
+        if len(ends) < k:  # one bounded line, found in O(edges)
+            first = min(set(range(1, len(ends) + 2)) - ends)
+            problems.append(f"{k - len(ends)} of {k} vertices have {kind}-degree 0, "
+                            f"the first is vertex {first}")
     if not problems and not _strongly_connected(g):
         problems.append("graph is not strongly connected")
     return problems
@@ -255,6 +247,11 @@ def scan_cycles(
         raise InvalidArgument(f"n_max must be >= 1, got {n_max}")
     if max_len is not None and edge_length is None:
         raise InvalidArgument("max_len requires edge_length")
+    if edge_vector is not None:
+        top = max(abs(int(x)) for vec in edge_vector.values() for x in vec)
+        if n_max * top >= 2**63:  # a class sum could wrap in int64
+            raise InvalidArgument(f"class entries up to {top} summed over {n_max} "
+                                  f"edges can pass the int64 range")
     k = g.vertex_count
     edges = sorted(g.edge_set)
     # edge tables indexed by (k + 1) * tail + head

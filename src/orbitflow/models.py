@@ -5,28 +5,25 @@ Sections start with a ``[header]`` that may carry inline ``key=value``
 pairs; later ``key = value`` lines extend the current section.  Vectors
 are comma-separated integers, reals are decimals or ``log(n)`` literals
 (kept verbatim so incommensurable roofs stay documented), ``#`` starts a
-comment.  Example::
+comment.  Example, with a spanning tree and chord values standing in for
+per-edge ``class=`` vectors::
 
     [model]
-    name = full2
+    name = loop2
     b = 0
     n_removed = 1
     vertices = 2
-    [edge] from=1 to=1 roof=1.0 class=0
-    [edge] from=1 to=2 roof=1.0 class=1
-    [edge] from=2 to=1 roof=1.0 class=0
-    [edge] from=2 to=2 roof=1.0 class=1
-    [removed] cycle = 2
+    [edge] from=1 to=1 roof=log(2)
+    [edge] from=1 to=2 roof=1.0
+    [edge] from=2 to=1 roof=0.5
+    [chords] tree=1>2
+    chord = 1>1:1
+    chord = 2>1:0
+    [removed] cycle = 1
+    [quotient] name=mod2 lattice=2
 
-Class vectors may instead come from a ``[chords]`` section naming a
-spanning tree and per-chord generator values::
-
-    [chords] tree=1>2,2>3
-    chord = 1>1:1,0
-
-Quotients are named integer lattices::
-
-    [quotient] name=mod2x3 lattice=2,0;0,3
+The builtin models (``_BUILTINS`` below) are texts in this format, read
+by the same parser as any file.
 """
 
 from __future__ import annotations
@@ -52,14 +49,20 @@ class ModelSpec:
     """Serializable bundle: graph, weights, removed orbits, quotients."""
 
     name: str
-    b: int
-    n_removed: int
     graph: DirectedGraph
     weights: WeightSystem
     removed: tuple[PrimeCycle, ...]
     chords: ChordAssignment | None = None
     roof_literals: dict[Edge, str] = field(default_factory=dict)
     quotients: dict[str, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
+
+    @property
+    def b(self) -> int:
+        return self.weights.b
+
+    @property
+    def n_removed(self) -> int:
+        return self.weights.meridians
 
     def quotient(self, name: str) -> FiniteQuotient:
         if name not in self.quotients:
@@ -90,9 +93,12 @@ def _parse_int_vector(token: str, line_no: int) -> tuple[int, ...]:
 
 def _parse_edge_token(token: str, line_no: int) -> Edge:
     m = _EDGE_TOKEN.match(token)
-    if not m:
-        raise ModelSyntaxError(f"line {line_no}: bad edge token {token!r}")
-    return int(m.group(1)), int(m.group(2))
+    try:
+        if m:
+            return int(m.group(1)), int(m.group(2))
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ModelSyntaxError(f"line {line_no}: bad edge token {token!r}")
 
 
 def _tokenize(text: str):
@@ -205,8 +211,8 @@ def parse_model(text: str) -> ModelSpec:
             ) from None
         r, literal = _parse_real(rec["roof"][0], rec["roof"][1])
         edge_list.append(e)
-        if r <= 0:
-            problems.append(f"edge {e}: roof must be positive, got {rec['roof'][0]}")
+        if not 0.0 < r < math.inf:
+            problems.append(f"edge {e}: roof must be positive and finite, got {rec['roof'][0]}")
         roof[e] = r
         if literal:
             roof_literals[e] = literal
@@ -221,8 +227,6 @@ def parse_model(text: str) -> ModelSpec:
             problems.append(f"edge {e}: no class value and no [chords] section")
     if not edge_list:
         problems.append("model has no edges")
-    if len(set(edge_list)) != len(edge_list):
-        problems.append("duplicate [edge] sections")
 
     graph = DirectedGraph(vertices or 0, tuple(edge_list))
     problems.extend(validate_graph(graph))
@@ -292,8 +296,6 @@ def parse_model(text: str) -> ModelSpec:
         )
     return ModelSpec(
         name=name,
-        b=b,
-        n_removed=n_removed,
         graph=graph,
         weights=weights,
         removed=tuple(removed),
@@ -340,86 +342,74 @@ def serialize_model(m: ModelSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-_BENCH3_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+_BUILTINS = {
+    "full2": """\
+[model]
+name = full2
+b = 0
+n_removed = 1
+vertices = 2
+[edge] from=1 to=1 roof=1.0 class=0
+[edge] from=1 to=2 roof=1.0 class=1
+[edge] from=2 to=1 roof=1.0 class=0
+[edge] from=2 to=2 roof=1.0 class=1
+[removed] cycle = 2
+[quotient] name=mod2 lattice=2
+""",
+    "goldenmean": """\
+[model]
+name = goldenmean
+b = 1
+n_removed = 0
+vertices = 2
+[edge] from=1 to=1 roof=1.0 class=0
+[edge] from=1 to=2 roof=1.0 class=1
+[edge] from=2 to=1 roof=1.0 class=0
+""",
+    # complete 3-vertex graph; roofs are logs of the first nine primes
+    # in lexicographic edge order, so cycle lengths are logs of
+    # distinct integers and share no common scale.
+    # fixed chord assignment: the loops wind around the removed orbits
+    # (loop at 1 -> first meridian, loop at 2 -> second, loop at 3 ->
+    # both); every other chord is null-homologous
+    "bench3": """\
+[model]
+name = bench3
+b = 0
+n_removed = 2
+vertices = 3
+[edge] from=1 to=1 roof=log(2)
+[edge] from=1 to=2 roof=log(3)
+[edge] from=1 to=3 roof=log(5)
+[edge] from=2 to=1 roof=log(7)
+[edge] from=2 to=2 roof=log(11)
+[edge] from=2 to=3 roof=log(13)
+[edge] from=3 to=1 roof=log(17)
+[edge] from=3 to=2 roof=log(19)
+[edge] from=3 to=3 roof=log(23)
+[chords] tree=1>2,2>3
+chord = 1>1:1,0
+chord = 1>3:0,0
+chord = 2>1:0,0
+chord = 2>2:0,1
+chord = 3>1:0,0
+chord = 3>2:0,0
+chord = 3>3:1,1
+[removed] cycle = 1
+[removed] cycle = 2
+[quotient] name=mod2x3 lattice=2,0;0,3
+""",
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_model(name: str) -> ModelSpec:
-    """Builtin desk-scale models: full2, goldenmean, bench3."""
-    if name == "full2":
-        g = DirectedGraph(2, ((1, 1), (1, 2), (2, 1), (2, 2)))
-        w = WeightSystem(
-            b=0,
-            meridians=1,
-            roof={e: 1.0 for e in g.edges},
-            classes={(1, 1): (0,), (1, 2): (1,), (2, 1): (0,), (2, 2): (1,)},
-        )
-        return ModelSpec(
-            name="full2",
-            b=0,
-            n_removed=1,
-            graph=g,
-            weights=w,
-            removed=(PrimeCycle((2,)),),
-            quotients={"mod2": ((2,),)},
-        )
-    if name == "goldenmean":
-        g = DirectedGraph(2, ((1, 1), (1, 2), (2, 1)))
-        w = WeightSystem(
-            b=1,
-            meridians=0,
-            roof={e: 1.0 for e in g.edges},
-            classes={(1, 1): (0,), (1, 2): (1,), (2, 1): (0,)},
-        )
-        return ModelSpec(
-            name="goldenmean",
-            b=1,
-            n_removed=0,
-            graph=g,
-            weights=w,
-            removed=(),
-        )
-    if name == "bench3":
-        # complete 3-vertex graph; roofs are logs of the first nine primes
-        # in lexicographic edge order, so cycle lengths are logs of
-        # distinct integers and share no common scale
-        edges = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
-        g = DirectedGraph(3, edges)
-        roof = {e: math.log(p) for e, p in zip(edges, _BENCH3_PRIMES)}
-        literals = {e: f"log({p})" for e, p in zip(edges, _BENCH3_PRIMES)}
-        # fixed chord assignment: the loops wind around the removed orbits
-        # (loop at 1 -> first meridian, loop at 2 -> second, loop at 3 ->
-        # both); every other chord is null-homologous
-        chords = ChordAssignment(
-            2,
-            ((1, 2), (2, 3)),
-            {
-                (1, 1): (1, 0),
-                (2, 2): (0, 1),
-                (3, 3): (1, 1),
-                (1, 3): (0, 0),
-                (2, 1): (0, 0),
-                (3, 1): (0, 0),
-                (3, 2): (0, 0),
-            },
-        )
-        w = WeightSystem(
-            b=0, meridians=2, roof=roof, classes=weights_from_chords(g, chords)
-        )
-        return ModelSpec(
-            name="bench3",
-            b=0,
-            n_removed=2,
-            graph=g,
-            weights=w,
-            removed=(PrimeCycle((1,)), PrimeCycle((2,))),
-            chords=chords,
-            roof_literals=literals,
-            quotients={"mod2x3": ((2, 0), (0, 3))},
-        )
-    raise UnknownModel(f"no builtin model named {name!r}")
-
-
-BUILTIN_NAMES = ("full2", "goldenmean", "bench3")
+    """Builtin desk-scale models: full2, goldenmean, bench3, parsed from
+    the model texts above."""
+    if name not in _BUILTINS:
+        raise UnknownModel(f"no builtin model named {name!r}")
+    return parse_model(_BUILTINS[name])
 
 
 def load_model(source: str) -> ModelSpec:

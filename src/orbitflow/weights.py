@@ -9,11 +9,15 @@ a chosen generator value, traversal in the edge's direction counting +1.
 Cycle data (total length and summed class vector) are plain Birkhoff sums
 over the traversed edges; ``cycle_sums`` gives them for every prime cycle
 up to a period from one ``scan_cycles`` call.  Lattice diagnostics reduce
-stacked cycle class vectors with an exact integer Smith normal form.
+stacked cycle class vectors with an exact integer Smith normal form: one
+reduction, whose transforms U and V, when asked for, are identity blocks
+set beside and below the matrix and carried along by the same row and
+column operations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +55,8 @@ class WeightSystem:
         roof = {}
         for e, r in self.roof.items():
             r = float(r)
-            if not r > 0.0:
-                raise InvalidArgument(f"roof must be positive, got {r} on edge {e}")
+            if not 0.0 < r < math.inf:
+                raise InvalidArgument(f"roof must be positive and finite, got {r} on edge {e}")
             roof[(int(e[0]), int(e[1]))] = r
         classes = {}
         for e, vec in self.classes.items():
@@ -76,9 +80,6 @@ class WeightSystem:
     @property
     def r_min(self) -> float:
         return min(self.roof.values())
-
-    def covers(self, g: DirectedGraph) -> bool:
-        return g.edge_set <= set(self.roof)
 
 
 @dataclass(frozen=True)
@@ -151,15 +152,11 @@ def weights_from_chords(g: DirectedGraph, ca: ChordAssignment) -> dict[Edge, tup
         raise InvalidTree("tree edges do not connect all vertices")
 
     tree_set = set(tree)
+    missing = g.edge_set - tree_set - set(ca.chord_values)
+    if missing:
+        raise MissingChordValue(f"no generator value for chord {min(missing)}")
     zero = (0,) * ca.dimension
-    class_map: dict[Edge, tuple[int, ...]] = {}
-    for e in g.edge_set:
-        if e in tree_set:
-            class_map[e] = zero
-        elif e in ca.chord_values:
-            class_map[e] = ca.chord_values[e]
-        else:
-            raise MissingChordValue(f"no generator value for chord {e}")
+    class_map = {e: zero if e in tree_set else ca.chord_values[e] for e in g.edge_set}
     for e in ca.chord_values:
         if e in tree_set or e not in g.edge_set:
             raise InvalidTree(f"chord value given for non-chord edge {e}")
@@ -190,8 +187,8 @@ def linking_numbers(c: PrimeCycle, w: WeightSystem) -> tuple[int, ...]:
 
 def smith_normal_form(mat) -> list[int]:
     """Nonzero elementary divisors d1 | d2 | ... of an integer matrix."""
-    _, diag, _ = smith_decomposition(mat)
-    return [x for x in diag if x != 0]
+    m = [[int(x) for x in row] for row in mat]
+    return [x for x in _smith(m, len(m), len(m[0]) if m else 0) if x != 0]
 
 
 def smith_decomposition(mat):
@@ -204,99 +201,77 @@ def smith_decomposition(mat):
     a = [[int(x) for x in row] for row in mat]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    # [[A, I_rows], [I_cols, 0]]: row operations on A carry U along in the
+    # right block, column operations carry V along in the lower one
+    m = [row + [0] * i + [1] + [0] * (rows - i - 1) for i, row in enumerate(a)]
+    m += [[0] * i + [1] + [0] * (cols + rows - i - 1) for i in range(cols)]
+    diag = _smith(m, rows, cols)
+    return [row[cols:] for row in m[:rows]], diag, [row[:cols] for row in m[rows:]]
+
+
+def _smith(m, rows, cols):
+    """Reduce the top-left rows x cols block of m (a list of integer row
+    lists) to Smith form in place and return its diagonal.  Row operations
+    act on whole rows of m and column operations on whole columns, so
+    blocks beside and below the reduced one record the transforms."""
 
     def row_op(i, j, q):  # row i -= q * row j
-        ai, aj = a[i], a[j]
-        for c in range(cols):
-            ai[c] -= q * aj[c]
-        ui, uj = u[i], u[j]
-        for c in range(rows):
-            ui[c] -= q * uj[c]
+        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
 
     def col_op(i, j, q):  # col i -= q * col j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
+        for row in m:
+            row[i] -= q * row[j]
 
     def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        m[i], m[j] = m[j], m[i]
 
     def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for row in m:
+            row[i], row[j] = row[j], row[i]
 
     def negate_row(i):
-        for c in range(cols):
-            a[i][c] = -a[i][c]
-        for c in range(rows):
-            u[i][c] = -u[i][c]
+        m[i] = [-x for x in m[i]]
 
-    t = 0
-    while t < rows and t < cols:
-        # smallest nonzero pivot in the trailing block
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
+    def settle(t):
+        """One pass at the pivot (t, t); False when it brought a smaller
+        remainder into the pivot or repaired divisibility, so another pass
+        is due.  Floor-division remainders of a positive pivot are
+        positive, so the pivot stays positive once its sign is fixed."""
+        p = m[t][t]
+        # clear the pivot column, then the pivot row
+        for i in range(t + 1, rows):
+            if m[i][t] != 0:
+                row_op(i, t, m[i][t] // p)
+                if m[i][t] != 0:
+                    swap_rows(t, i)
+                    return False
+        for j in range(t + 1, cols):
+            if m[t][j] != 0:
+                col_op(j, t, m[t][j] // p)
+                if m[t][j] != 0:
+                    swap_cols(t, j)
+                    return False
+        # divisibility: the pivot must divide every remaining entry
+        for i in range(t + 1, rows):
+            if any(x % p != 0 for x in m[i][t + 1:cols]):
+                row_op(t, i, -1)  # add row i to row t
+                return False
+        return True
+
+    for t in range(min(rows, cols)):
+        # smallest nonzero pivot in the trailing block, first in row order
+        nonzero = [(abs(m[i][j]), i, j)
+                   for i in range(t, rows) for j in range(t, cols) if m[i][j]]
+        if not nonzero:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        if a[t][t] < 0:
+        _, i, j = min(nonzero)
+        swap_rows(t, i)
+        swap_cols(t, j)
+        if m[t][t] < 0:
             negate_row(t)
-
-        while True:
-            # clear the pivot column, then the pivot row; a smaller
-            # remainder anywhere restarts with it as the new pivot
-            restart = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    row_op(i, t, a[i][t] // a[t][t])
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        if a[t][t] < 0:
-                            negate_row(t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    col_op(j, t, a[t][j] // a[t][t])
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # divisibility: pivot must divide every remaining entry
-            fixed = True
-            p = a[t][t]
-            for i in range(t + 1, rows):
-                row = a[i]
-                for j in range(t + 1, cols):
-                    if row[j] % p != 0:
-                        row_op(t, i, -1)  # add row i to row t
-                        fixed = False
-                        break
-                if not fixed:
-                    break
-            if fixed:
-                break
-        t += 1
-
-    diag = [a[i][i] for i in range(min(rows, cols))]
-    return u, diag, v
+        while not settle(t):
+            pass
+    return [m[i][i] for i in range(min(rows, cols))]
 
 
 def check_weights_cover(g: DirectedGraph, w: WeightSystem) -> None:

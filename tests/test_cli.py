@@ -241,3 +241,53 @@ class TestCheck:
         lines = out.strip().splitlines()
         assert len(lines) == 6
         assert all("PASS" in line for line in lines)
+
+
+# non-finite reals are refused when the arguments are read
+NON_FINITE = (
+    "pressure full2 --u nan",
+    "pressure full2 --u inf",
+    "pressure bench3 --u 0,-inf",
+    "entropy full2 --rho nan",
+    "entropy full2 --rho inf",
+    "count full2 --T 5 --delta 1 --rho nan --alpha 0",
+    "predict full2 --T 8 --delta 1 --rho=-inf --alpha 0",
+    "equidist full2 --T 8 --delta 1 --rho 0.5 --alpha 0 --obs 1>1=nan",
+    "equidist full2 --T 8 --delta 1 --rho 0.5 --alpha 0 --obs 1>1=1,2>2=inf",
+    "equidist full2 --T 8 --delta 1 --rho 0.5 --alpha 0 --obs 1>2=-inf",
+)
+
+
+@pytest.mark.parametrize("command", NON_FINITE)
+def test_non_finite_reals_exit_2(capsys, command):
+    code, out, err = run(capsys, *command.split(" "))
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("roof", ["inf", "-inf", "nan", "1e400", "log(1e400)"])
+def test_non_finite_roof_fails_at_load(tmp_path, capsys, roof):
+    p = tmp_path / "roof.model"
+    p.write_text(SAMPLE.replace("from=1 to=2 roof=1.0", f"from=1 to=2 roof={roof}"))
+    for command in ("validate", "pressure"):
+        code, out, err = run(capsys, command, str(p), *(["--u", "0"] if command == "pressure" else []))
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+
+
+# full2's graph with one class entry on 1>2 and 2>2; cycle (1,2,2) sums
+# three times that entry
+@pytest.mark.parametrize("command,entry", [
+    ("hull {} --n 3", 2**62),
+    ("hull {} --n 3", 10**20),
+    ("count {} --T 3 --delta 3 --rho 0 --alpha 0", 10**20),
+    ("count {} --T 3 --delta 3 --rho 0 --alpha 0", 2**62),
+])
+def test_class_sums_past_int64_exit_2(tmp_path, capsys, command, entry):
+    p = tmp_path / "big.model"
+    p.write_text(SAMPLE.replace("2 roof=1.0 class=1", f"2 roof=1.0 class={entry}"))
+    code, out, err = run(capsys, *command.format(p).split(" "))
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+    assert "int64" in err

@@ -226,3 +226,22 @@ class TestEnumerate:
         for n in range(1, 13):
             total = sum(m * counts.get(m, 0) for m in range(1, n + 1) if n % m == 0)
             assert total == 2**n
+
+
+def test_many_vertices_few_edges_bounded_problems():
+    # one line per degree, whatever the vertex count
+    problems = validate_graph(DirectedGraph(200_000, ((1, 2),)))
+    assert problems == [
+        "199999 of 200000 vertices have out-degree 0, the first is vertex 2",
+        "199999 of 200000 vertices have in-degree 0, the first is vertex 1",
+    ]
+
+
+def test_too_few_edges_names_first_sink():
+    problems = validate_graph(DirectedGraph(5, ((1, 2), (2, 1), (2, 1), (4, 9))))
+    assert problems == [
+        "duplicate edge (2,1)",
+        "edge (4,9) references a vertex outside 1..5",
+        "3 of 5 vertices have out-degree 0, the first is vertex 3",
+        "3 of 5 vertices have in-degree 0, the first is vertex 3",
+    ]

@@ -1,20 +1,34 @@
 """Model file parsing, serialization round trips, and builtin models."""
 
 import math
+import re
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitflow import (
+    ChordAssignment,
+    ModelSpec,
     ModelSyntaxError,
     UnknownModel,
     ValidationError,
+    WeightSystem,
     builtin_model,
+    enumerate_prime_cycles,
     generation_check,
     lattice_length_heuristic,
     load_model,
     parse_model,
     serialize_model,
+    weights_from_chords,
 )
+
+from orbitflow.models import BUILTIN_NAMES
+
+from conftest import random_strong_graph, random_weights
 
 SAMPLE = """\
 [model]
@@ -195,3 +209,151 @@ class TestLoadModel:
     def test_missing_source(self):
         with pytest.raises(UnknownModel):
             load_model("no-such-model-or-file")
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("roof", ["inf", "-inf", "nan", "1e400", "log(1e400)",
+                                      "log(" + "9" * 400 + ")"])
+    def test_non_finite_roof_rejected(self, roof):
+        bad = SAMPLE.replace("from=1 to=2 roof=1.0", f"from=1 to=2 roof={roof}")
+        with pytest.raises((ValidationError, ModelSyntaxError)):
+            parse_model(bad)
+
+    def test_infinite_roof_message(self):
+        bad = SAMPLE.replace("from=1 to=2 roof=1.0", "from=1 to=2 roof=inf")
+        with pytest.raises(ValidationError, match="roof must be positive and finite"):
+            parse_model(bad)
+
+    def test_overlong_edge_token_is_a_syntax_error(self):
+        text = serialize_model(builtin_model("bench3"))
+        bad = text.replace("tree=1>2,2>3", "tree=1>2," + "9" * 5000 + ">3")
+        with pytest.raises(ModelSyntaxError, match="bad edge token"):
+            parse_model(bad)
+
+    def test_bad_roof_reported_with_graph_problems(self):
+        bad = "\n".join(
+            line.replace("roof=1.0", "roof=inf") if "from=1 to=1" in line else line
+            for line in SAMPLE.splitlines() if "from=2 to=1" not in line
+        )
+        with pytest.raises(ValidationError) as info:
+            parse_model(bad)
+        message = str(info.value)
+        assert "roof must be positive and finite, got inf" in message
+        assert "not strongly connected" in message and "\n" not in message
+
+    def test_many_vertices_bounded_message(self):
+        text = SAMPLE.replace("vertices = 2", "vertices = 200000")
+        with pytest.raises(ValidationError, match="out-degree 0") as info:
+            parse_model(text)
+        assert len(str(info.value)) < 500
+
+
+def _spanning_tree(g):
+    """Non-loop edges joining vertex 1's component to the rest, one at a
+    time, until every vertex is reached."""
+    tree, reached = [], {1}
+    while len(reached) < g.vertex_count:
+        a, b = next(e for e in g.edges if (e[0] in reached) != (e[1] in reached))
+        tree.append((a, b))
+        reached |= {a, b}
+    return tuple(tree)
+
+
+def random_model(seed, k, d, meridians, use_chords, n_quotients):
+    """A model from random_strong_graph/random_weights with some log(n)
+    roofs, removed cycles as meridians, and random quotient lattices."""
+    rng = np.random.default_rng(seed)
+    g = random_strong_graph(rng, k)
+    base = random_weights(rng, g, d)
+    logs = {e: int(rng.integers(2, 60)) for e in g.edges if rng.random() < 0.4}
+    roof = {**base.roof, **{e: math.log(n) for e, n in logs.items()}}
+    chords, classes = None, base.classes
+    if use_chords:
+        tree = _spanning_tree(g)
+        chords = ChordAssignment(d, tree, {e: base.classes[e] for e in g.edges if e not in tree})
+        classes = weights_from_chords(g, chords)
+    cycles = enumerate_prime_cycles(g, 3)
+    picks = rng.choice(len(cycles), size=min(meridians, len(cycles), d), replace=False)
+    removed = tuple(cycles[int(i)] for i in picks)
+    quotients = {
+        f"q{i}": tuple(tuple(int(x) for x in row) for row in rng.integers(-4, 5, size=(d, d)))
+        for i in range(n_quotients)
+    }
+    return ModelSpec(
+        name=f"rand{seed}",
+        graph=g,
+        weights=WeightSystem(b=d - len(removed), meridians=len(removed), roof=roof,
+                             classes=classes),
+        removed=removed,
+        chords=chords,
+        roof_literals={e: f"log({n})" for e, n in logs.items()},
+        quotients=quotients,
+    )
+
+
+MODEL_ARGS = dict(
+    seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), d=st.integers(1, 3),
+    meridians=st.integers(0, 3), use_chords=st.booleans(), n_quotients=st.integers(0, 2),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(**MODEL_ARGS)
+def test_random_models_round_trip(seed, k, d, meridians, use_chords, n_quotients):
+    m = random_model(seed, k, d, meridians, use_chords, n_quotients)
+    text = serialize_model(m)
+    assert parse_model(text) == m
+    assert serialize_model(parse_model(text)) == text
+
+
+# replacement tokens: numbers at and past the limits, non-finite reals,
+# malformed literals, vectors, edge tokens, section headers and keys
+FUZZ_TOKENS = (
+    "", "0", "1", "2", "3", "-1", "01", "1000000000000", "1.5", "1e400", "-0.0",
+    "inf", "nan", "-inf", "log(0)", "log(1)", "log(2.5)", "log(x)", "log(", "1,0",
+    "0,1,2", "2,0;0,3", "1;2", ";", "1>2", "2>1", "3>3", "1>1:1", "1>2:0,0", ">",
+    ":", "=", "#", "[edge]", "[chords]", "[removed]", "[quotient]", "[model]",
+    "[nope]", "name=q", "cycle", "tree", "chord", "lattice", "roof", "class",
+    "from", "to", "vertices", "b", "n_removed", "x", "9" * 5000,
+)
+FUZZ_OPS = ("replace", "replace", "replace", "delete", "duplicate", "swap", "insert")
+
+
+def mutate(text, edits):
+    """Apply (op, line, atom, token) edits to the lines of text; a line is
+    split into atoms at whitespace and at the format's delimiters."""
+    lines = text.splitlines()
+    for op, i, j, token in edits:
+        i %= len(lines) + 1
+        if op == "insert" or not lines:
+            lines.insert(i, token)
+            continue
+        i %= len(lines)
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            lines[i], lines[j % len(lines)] = lines[j % len(lines)], lines[i]
+        else:
+            atoms = re.split(r"(\s+|[=,;>:])", lines[i])
+            atoms[j % len(atoms)] = token
+            lines[i] = "".join(atoms)
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(base=st.one_of(st.sampled_from(BUILTIN_NAMES), st.fixed_dictionaries(MODEL_ARGS)),
+       edits=st.lists(st.tuples(st.sampled_from(FUZZ_OPS), st.integers(0, 99),
+                                st.integers(0, 99), st.sampled_from(FUZZ_TOKENS)),
+                      min_size=1, max_size=4))
+def test_fuzzed_text_parses_or_is_refused(base, edits):
+    m = builtin_model(base) if isinstance(base, str) else random_model(**base)
+    text = mutate(serialize_model(m), edits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            again = parse_model(text)
+        except (ModelSyntaxError, ValidationError):
+            return
+        assert parse_model(serialize_model(again)) == again

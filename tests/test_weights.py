@@ -10,6 +10,7 @@ import pytest
 from orbitflow import (
     ChordAssignment,
     DirectedGraph,
+    InvalidArgument,
     InvalidTree,
     MissingChordValue,
     MissingEdgeWeight,
@@ -26,6 +27,7 @@ from orbitflow import (
     smith_normal_form,
     weights_from_chords,
 )
+from orbitflow.weights import cycle_sums
 
 from conftest import random_strong_graph, random_weights
 
@@ -349,3 +351,35 @@ class TestCohomologyInvariance:
             assert birkhoff(c, w2).length == pytest.approx(
                 birkhoff(c, w).length, abs=1e-12
             )
+
+
+@pytest.mark.parametrize("roof", [math.inf, -math.inf, math.nan])
+def test_non_finite_roof_rejected(roof):
+    with pytest.raises(InvalidArgument, match="finite"):
+        into2_weights(roof)
+
+
+def _wide_classes(top):
+    """full2 weights whose cycle (1,2,2) sums to (3 top, -3 top)."""
+    return WeightSystem(
+        b=0, meridians=2,
+        roof={e: 1.0 for e in FULL2.edges},
+        classes={(1, 1): (0, 0), (1, 2): (top, -top), (2, 1): (top, -top), (2, 2): (top, -top)},
+    )
+
+
+def test_class_sums_just_inside_int64_match_birkhoff():
+    w = _wide_classes((2**63 - 1) // 3)
+    scan = cycle_sums(FULL2, w, 3)
+    want = [list(birkhoff(c, w).class_vector) for c in enumerate_prime_cycles(FULL2, 3)]
+    assert scan.classes.tolist() == want
+    assert max(map(max, want)) == 3 * ((2**63 - 1) // 3)
+
+
+@pytest.mark.parametrize("top", [(2**63 - 1) // 3 + 1, 2**62, 10**20])
+def test_class_sums_past_int64_refused(top):
+    w = _wide_classes(top)
+    with pytest.raises(InvalidArgument, match="int64"):
+        cycle_sums(FULL2, w, 3)
+    with pytest.raises(InvalidArgument, match="int64"):
+        generation_check(FULL2, w, 3)
