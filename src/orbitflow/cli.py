@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -33,6 +34,7 @@ from .models import load_model, serialize_model
 from .thermo import edge_arrays, pressure_jet
 
 _MAX_SWEEP_T = 10_000  # T values one sweep may evaluate
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _fmt(x) -> str:
@@ -312,6 +314,11 @@ def main(argv=None) -> int:
 
     add("check", cmd_check, model=False)
 
+    # argparse reads a value like -0.25,0.5 or -inf as a flag: bind it to its option
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1].startswith("--") and "=" not in argv[i - 1] and _NEGATIVE_VALUE.match(argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

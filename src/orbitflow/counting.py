@@ -588,6 +588,8 @@ class FiniteQuotient:
 
     def reduce(self, vec) -> tuple[int, ...]:
         """Lattice label of an integer class vector."""
+        if self._reduce is None:
+            raise InvalidArgument("an explicit group quotient has no lattice labels")
         return self._reduce(vec)
 
     def all_class_keys(self) -> list:

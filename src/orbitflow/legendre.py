@@ -8,10 +8,10 @@ direction is the minimum value, and the entropy Hessian is minus the
 inverse pressure Hessian at u(rho).  Divergence of the Newton iteration
 is the signal that rho left the interior.
 
-scipy is imported lazily, where used: ``ConvexHull`` (Qhull) in
-``direction_hull`` for points of affine dimension >= 2 and ``linprog``
-(HiGHS) in ``hull_contains``.  Its import costs more CPU than most
-commands spend working, and only hull and membership queries need it.
+scipy is imported lazily, for Qhull only: its hull of points of affine
+dimension >= 2, taken in their affine frame, gives ``direction_hull`` its
+vertices and ``hull_contains`` its facet inequalities.  The import costs
+more CPU than most commands spend working.
 """
 
 from __future__ import annotations
@@ -70,6 +70,25 @@ _DIVERGE_NORM = 1e3    # solve_u: |u| beyond which rho is outside
 _FLAT_TOL = 1e-13      # solve_u: predicted decrease below e's resolution
 
 
+def _affine_frame(points):
+    """Centre of a nonempty point set, an orthonormal basis (rows) of its
+    affine hull, and the points' coordinates in that basis."""
+    pts = np.asarray(points, dtype=float)
+    if not pts.size:
+        raise EmptySelection("no points to take the hull of")
+    centre = pts.mean(axis=0)
+    centered = pts - centre
+    _, sv, basis = np.linalg.svd(centered, full_matrices=False)
+    basis = basis[: int((sv > _COLLINEARITY_TOL * max(1.0, float(sv[0]))).sum())]
+    return centre, basis, centered @ basis.T
+
+
+def _qhull(coords: np.ndarray):
+    from scipy.spatial import ConvexHull  # the one scipy import
+
+    return ConvexHull(coords)
+
+
 def direction_hull(g: DirectedGraph, w: WeightSystem, n: int) -> DirectionHull:
     """Hull of class/length ratios over prime cycles of period <= n, each
     distinct ratio once, in the (period, vertex sequence) order of its
@@ -80,57 +99,34 @@ def direction_hull(g: DirectedGraph, w: WeightSystem, n: int) -> DirectionHull:
     ratios = scan.classes / scan.length[:, None]
     arr = ratios[np.sort(np.unique(ratios, axis=0, return_index=True)[1])]
     pts = tuple(map(tuple, arr.tolist()))
-    centered = arr - arr.mean(axis=0)
-    _, sv, basis = np.linalg.svd(centered, full_matrices=False)
-    dim = int((sv > _COLLINEARITY_TOL * max(1.0, float(sv[0]))).sum())
+    _, basis, coords = _affine_frame(arr)
+    dim = len(basis)
     if dim == 0:
         vertices = (pts[0],)
     elif dim == 1:
-        along = centered @ basis[0]
-        vertices = (pts[int(np.argmin(along))], pts[int(np.argmax(along))])
+        vertices = (pts[int(np.argmin(coords[:, 0]))], pts[int(np.argmax(coords[:, 0]))])
     else:
-        from scipy.spatial import ConvexHull
-
-        hull = ConvexHull(centered @ basis[:dim].T)
-        vertices = tuple(pts[i] for i in sorted(hull.vertices))
-    return DirectionHull(tuple(pts), vertices, dim)
+        vertices = tuple(pts[i] for i in sorted(_qhull(coords).vertices))
+    return DirectionHull(pts, vertices, dim)
 
 
 def hull_contains(points, rho, tol: float = 1e-9) -> bool:
-    """Is rho in the convex hull of the points (within tol)?
-
-    Solved as a small LP: minimize the sup-norm slack of a convex
-    combination hitting rho.
-    """
-    from scipy.optimize import linprog
-
-    pts = np.asarray(points, dtype=float)
+    """Is rho in the convex hull of the points, within tol?  tol bounds the
+    sup-norm distance to their affine hull and, in its orthonormal frame,
+    the Euclidean overshoot past an end point (dimension <= 1) or a Qhull
+    facet plane (dimension >= 2)."""
+    centre, basis, coords = _affine_frame(points)
     rho = np.asarray(rho, dtype=float).reshape(-1)
-    n, d = pts.shape
-    # variables: weights w (n) and slack t (1); minimize t
-    cost = np.zeros(n + 1)
-    cost[-1] = 1.0
-    a_ub = np.zeros((2 * d, n + 1))
-    b_ub = np.zeros(2 * d)
-    for i in range(d):
-        a_ub[i, :n] = pts[:, i]
-        a_ub[i, -1] = -1.0
-        b_ub[i] = rho[i]
-        a_ub[d + i, :n] = -pts[:, i]
-        a_ub[d + i, -1] = -1.0
-        b_ub[d + i] = -rho[i]
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = 1.0
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * n + [(0, None)],
-        method="highs",
-    )
-    return bool(res.success) and float(res.fun) <= tol
+    if rho.shape != centre.shape:
+        raise DimensionMismatch(f"rho has length {len(rho)}, points have dimension {len(centre)}")
+    y = basis @ (rho - centre)
+    if np.abs(rho - centre - y @ basis).max() > tol:
+        return False
+    if len(basis) <= 1:
+        lo, hi = coords.min(axis=0) - tol, coords.max(axis=0) + tol
+        return bool(np.all((lo <= y) & (y <= hi)))
+    eq = _qhull(coords).equations
+    return bool((eq[:, :-1] @ y + eq[:, -1] <= tol).all())
 
 
 def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
@@ -140,9 +136,9 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
     ``pressure_jet`` solve, which also gives the next Newton step.  Once the
     predicted decrease is below e's float resolution, a step that lowers
     the gradient residual is accepted.  Raises OutsideCone when |u| passes
-    _DIVERGE_NORM or the line search stalls with a gradient bounded away
-    from zero, and DegenerateModel when the pressure Hessian is singular
-    at the origin (empty interior).
+    _DIVERGE_NORM, a Newton step is not finite or the line search stalls
+    with a gradient bounded away from zero, and DegenerateModel when the
+    pressure Hessian is singular at the origin (empty interior).
     """
     rho = np.asarray(rho, dtype=float).reshape(-1)
     d = w.dimension
@@ -185,6 +181,8 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
             step = np.linalg.solve(jet.hessian, -grad)
         except np.linalg.LinAlgError:
             step = np.linalg.solve(jet.hessian + 1e-10 * np.eye(d), -grad)
+        if not np.isfinite(step).all():
+            raise OutsideCone("Newton step is not finite; direction outside the attainable set")
         slope = float(grad @ step)
         if slope >= 0.0:  # not a descent direction; regularize
             step = np.linalg.solve(jet.hessian + 1e-10 * np.eye(d), -grad)

@@ -25,7 +25,7 @@ from .errors import (
     NotPrimitive,
 )
 from .graphs import DirectedGraph, Edge, is_primitive_pattern, require_valid
-from .weights import WeightSystem
+from .weights import WeightSystem, check_weights_cover
 
 @dataclass(frozen=True)
 class PerronData:
@@ -56,6 +56,7 @@ def edge_arrays(g: DirectedGraph, w: WeightSystem) -> tuple[np.ndarray, np.ndarr
     """Roof R[i-1, j-1] and class C[i-1, j-1, :] of each edge i -> j of a
     valid graph, 0 off the edges; R > 0 is the adjacency pattern."""
     require_valid(g)
+    check_weights_cover(g, w)
     k = g.vertex_count
     r = np.zeros((k, k))
     c = np.zeros((k, k, w.dimension))

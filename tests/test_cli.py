@@ -291,3 +291,30 @@ def test_class_sums_past_int64_exit_2(tmp_path, capsys, command, entry):
     assert code == 2 and out == ""
     assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
     assert "int64" in err
+
+
+# a value whose first component is negative, given as its own argument,
+# reads as the value and not as a flag: each command behaves as its
+# --opt=value form does
+@pytest.mark.parametrize("spaced,joined", [
+    ("pressure bench3 --u -0.25,0.5", "pressure bench3 --u=-0.25,0.5"),
+    ("count bench3 --T 12 --delta 1 --rho 0.3,0.05 --alpha -1,0",
+     "count bench3 --T 12 --delta 1 --rho 0.3,0.05 --alpha=-1,0"),
+    ("entropy bench3 --rho -inf", "entropy bench3 --rho=-inf"),
+])
+def test_negative_values_as_separate_arguments(capsys, spaced, joined):
+    got = run(capsys, *spaced.split(" "))
+    assert got == run(capsys, *joined.split(" "))
+    code, out, err = got
+    if "inf" in spaced:
+        assert code == 2 and out == "" and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+    else:
+        assert code == 0 and err == "" and out.count("\n") == 2
+
+
+def test_non_finite_newton_step_exits_3_with_one_line(capsys):
+    code, out, err = run(capsys, "entropy", "bench3",
+                         "--rho=-0.3775701322221332,0.7787958640083494")
+    assert code == 3 and out == ""
+    assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1

@@ -1,11 +1,11 @@
 """The cold command line: which modules a fresh process loads, and the
 README commands' stdout pinned byte for byte.
 
-scipy is imported only by the hull of a point set of dimension >= 2 and by
-the hull membership LP, so ``import orbitflow`` and every other command
-must leave it unloaded.  ``readme_stdout.txt`` holds the stdout of each
-command in the README's command-line block, one ``$ <command>`` line
-before each; only ``check``'s microsecond timings may differ from it.
+scipy is imported only for Qhull, by the hull of a point set of dimension
+>= 2, so ``import orbitflow`` and every other command must leave it
+unloaded.  ``readme_stdout.txt`` holds the stdout of each command in the
+README's command-line block, one ``$ <command>`` line before each; only
+``check``'s microsecond timings may differ from it.
 """
 
 import json

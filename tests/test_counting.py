@@ -603,6 +603,12 @@ class TestFiniteQuotient:
         sizes = sorted(quot.class_size(k) for k in quot.all_class_keys())
         assert sizes == [1, 2, 3] and quot.order == 6
 
+    def test_group_has_no_lattice_reduce(self):
+        table = {(a, b): (a + b) % 2 for a in (0, 1) for b in (0, 1)}
+        quot = FiniteQuotient.from_group((0, 1), table, {e: 0 for e in FULL2.edges})
+        with pytest.raises(InvalidArgument):
+            quot.reduce((1,))
+
 
 class TestChebotarev:
     def test_full2_small_depth(self):

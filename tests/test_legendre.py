@@ -1,6 +1,9 @@
 """Direction hulls, dual parameters, entropy, and membership."""
 
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ from hypothesis import strategies as st
 
 from orbitflow import (
     DegenerateModel,
+    DimensionMismatch,
     DirectedGraph,
+    EmptySelection,
     Membership,
     OutsideCone,
     WeightSystem,
@@ -103,6 +108,15 @@ class TestSolveU:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateModel):
             solve_u(FULL2, zero_weights(FULL2), [0.0])
+
+    def test_non_finite_newton_step_refused_without_warning(self, bench3):
+        # far out in u the Hessian is nearly singular and its Newton step
+        # overflows; the solve must refuse before evaluating e at it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutsideCone, match="not finite"):
+                solve_u(bench3.graph, bench3.weights,
+                        (-0.3775701322221332, 0.7787958640083494))
 
     def test_roundtrip_grid(self):
         w = into2()
@@ -262,3 +276,53 @@ class TestHullContains:
         assert hull_contains(pts, (0.5, 0.5))  # boundary edge
         assert not hull_contains(pts, (0.6, 0.6))
         assert not hull_contains(pts, (-0.01, 0.0))
+
+    def test_rho_of_wrong_length_raises(self):
+        pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        for rho in ((0.2, 0.2, 5.0), (0.2,)):
+            with pytest.raises(DimensionMismatch):
+                hull_contains(pts, rho)
+
+    def test_empty_point_set_raises(self):
+        with pytest.raises(EmptySelection):
+            hull_contains([], (0.0,))
+        with pytest.raises(EmptySelection):
+            hull_contains(np.zeros((0, 2)), (0.0, 0.0))
+
+    def test_low_dimensional_containment_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "from orbitflow import hull_contains\n"
+            "assert hull_contains([(0.0,), (1.0,)], (0.5,))\n"
+            "assert not hull_contains([(0.0, 0.0), (1.0, 1.0)], (0.5, 0.6))\n"
+            "assert hull_contains([(1.0, 2.0, 3.0)] * 2, (1.0, 2.0, 3.0))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=120)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), data=st.data())
+    def test_containment_properties(self, seed, d, data):
+        """Points of affine rank 0..d in R^d: the inputs and their convex
+        combinations are inside; a point past the support of a direction,
+        or off a lower-rank affine hull, by a margin is outside."""
+        rank = data.draw(st.integers(0, d))
+        rng = np.random.default_rng(seed)
+        frame = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        span, normals = frame[:, :rank], frame[:, rank:]
+        m = rank + 1 + int(rng.integers(0, 6))
+        pts = rng.normal(size=d) + rng.normal(size=(m, rank)) @ span.T
+        margin = 1e-3
+        for p in pts:
+            assert hull_contains(pts, p, tol=1e-7)
+        inner = rng.dirichlet(np.ones(m)) @ pts
+        assert hull_contains(pts, inner)
+        v = rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        assert not hull_contains(pts, pts[np.argmax(pts @ v)] + margin * v)
+        if rank < d:
+            off = normals @ rng.normal(size=d - rank)
+            assert not hull_contains(pts, inner + margin * off / np.linalg.norm(off))

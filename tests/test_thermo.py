@@ -9,6 +9,7 @@ from orbitflow import (
     DimensionMismatch,
     DirectedGraph,
     MissingEdgeValue,
+    MissingEdgeWeight,
     NonConvergence,
     NotPrimitive,
     WeightSystem,
@@ -19,6 +20,7 @@ from orbitflow import (
     pressure_gradient,
     pressure_hessian,
     shift_pressure,
+    solve_u,
     transfer_matrix,
 )
 
@@ -67,6 +69,32 @@ class TestTransferMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             transfer_matrix(FULL2, into2(), [0.0, 1.0], 0.0)
+
+
+class TestMissingEdgeWeight:
+    """Weights that skip an edge of the graph are refused by name, not
+    with a KeyError."""
+
+    @staticmethod
+    def partial():
+        w = into2()
+        return WeightSystem(
+            b=0, meridians=1,
+            roof={e: r for e, r in w.roof.items() if e != (2, 2)},
+            classes={e: c for e, c in w.classes.items() if e != (2, 2)},
+        )
+
+    def test_flow_pressure(self):
+        with pytest.raises(MissingEdgeWeight):
+            flow_pressure(FULL2, self.partial(), [0.0])
+
+    def test_transfer_matrix(self):
+        with pytest.raises(MissingEdgeWeight):
+            transfer_matrix(FULL2, self.partial(), [0.0], 1.0)
+
+    def test_solve_u(self):
+        with pytest.raises(MissingEdgeWeight):
+            solve_u(FULL2, self.partial(), [0.5])
 
 
 class TestPerron:
