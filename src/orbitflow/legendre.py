@@ -1,17 +1,17 @@
 """Legendre duality between pressure and the entropy of directions.
 
 The attainable direction set is the closure of the cycle ratios
-class / length; its interior is exactly the image of the pressure
-gradient.  For a direction rho in that interior, the dual parameter
-u(rho) minimizes e(u) = flow_pressure(u) - <u, rho>, the entropy of the
-direction is the minimum value, and the entropy Hessian is minus the
-inverse pressure Hessian at u(rho).  Divergence of the Newton iteration
-is the signal that rho left the interior.
+class / length, which is the convex hull of those of period <= the vertex
+count (see ``direction_hull``); its interior is exactly the image of the
+pressure gradient.  For a direction rho in that interior, the dual
+parameter u(rho) minimizes e(u) = flow_pressure(u) - <u, rho>, the
+entropy of the direction is the minimum value, and the entropy Hessian
+is minus the inverse pressure Hessian at u(rho).
 
 scipy is imported lazily, for Qhull only: its hull of points of affine
 dimension >= 2, taken in their affine frame, gives ``direction_hull`` its
-vertices and ``hull_contains`` its facet inequalities.  The import costs
-more CPU than most commands spend working.
+vertices and the containment tests their facet inequalities.  The import
+costs more CPU than most commands spend working.
 """
 
 from __future__ import annotations
@@ -21,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateModel,
-    DimensionMismatch,
-    EmptySelection,
-    NonConvergence,
-    OutsideCone,
-    SingularHessian,
-)
-from .graphs import DirectedGraph
+from .errors import (DegenerateModel, DimensionMismatch, EmptySelection, NonConvergence,
+                     OutsideCone, SingularHessian)
+from .graphs import DirectedGraph, require_valid
 from .weights import WeightSystem, cycle_sums
 from .thermo import edge_arrays, pressure_jet
 
@@ -89,15 +83,25 @@ def _qhull(coords: np.ndarray):
     return ConvexHull(coords)
 
 
-def direction_hull(g: DirectedGraph, w: WeightSystem, n: int) -> DirectionHull:
-    """Hull of class/length ratios over prime cycles of period <= n, each
-    distinct ratio once, in the (period, vertex sequence) order of its
-    first cycle."""
+def _ratio_points(g: DirectedGraph, w: WeightSystem, n: int) -> np.ndarray:
+    """Distinct class/length ratios over prime cycles of period <= n, in
+    the (period, vertex sequence) order of their first cycle."""
     scan = cycle_sums(g, w, n)
     if not len(scan.period):
         raise EmptySelection(f"no prime cycle of period <= {n}")
     ratios = scan.classes / scan.length[:, None]
-    arr = ratios[np.sort(np.unique(ratios, axis=0, return_index=True)[1])]
+    return ratios[np.sort(np.unique(ratios, axis=0, return_index=True)[1])]
+
+
+def direction_hull(g: DirectedGraph, w: WeightSystem, n: int) -> DirectionHull:
+    """Hull of class/length ratios over prime cycles of period <= n, each
+    distinct ratio once, in the (period, vertex sequence) order of its
+    first cycle.  On a strongly connected graph n >= the vertex count
+    gives the exact direction set: a closed walk splits into simple cycles
+    of period at most the vertex count, so its ratio is a convex
+    combination of theirs (Marcus & Tuncel, ETDS 11, 1991; Ziemian, Fund.
+    Math. 146, 1995)."""
+    arr = _ratio_points(g, w, n)
     pts = tuple(map(tuple, arr.tolist()))
     _, basis, coords = _affine_frame(arr)
     dim = len(basis)
@@ -110,23 +114,32 @@ def direction_hull(g: DirectedGraph, w: WeightSystem, n: int) -> DirectionHull:
     return DirectionHull(pts, vertices, dim)
 
 
-def hull_contains(points, rho, tol: float = 1e-9) -> bool:
-    """Is rho in the convex hull of the points, within tol?  tol bounds the
-    sup-norm distance to their affine hull and, in its orthonormal frame,
-    the Euclidean overshoot past an end point (dimension <= 1) or a Qhull
-    facet plane (dimension >= 2)."""
+def _overshoot(points, rho) -> tuple[int, float, float]:
+    """Affine dimension of the points; rho's sup-norm distance to their
+    affine hull; and, in its orthonormal frame, rho's largest Euclidean
+    overshoot past an end point (dimension <= 1) or a Qhull facet plane
+    (dimension >= 2), negative inside and -inf for a single point."""
     centre, basis, coords = _affine_frame(points)
     rho = np.asarray(rho, dtype=float).reshape(-1)
     if rho.shape != centre.shape:
         raise DimensionMismatch(f"rho has length {len(rho)}, points have dimension {len(centre)}")
     y = basis @ (rho - centre)
-    if np.abs(rho - centre - y @ basis).max() > tol:
-        return False
+    off = float(np.abs(rho - centre - y @ basis).max())
     if len(basis) <= 1:
-        lo, hi = coords.min(axis=0) - tol, coords.max(axis=0) + tol
-        return bool(np.all((lo <= y) & (y <= hi)))
-    eq = _qhull(coords).equations
-    return bool((eq[:, :-1] @ y + eq[:, -1] <= tol).all())
+        over = np.concatenate([coords.min(axis=0) - y, y - coords.max(axis=0)])
+    else:
+        eq = _qhull(coords).equations
+        over = eq[:, :-1] @ y + eq[:, -1]
+    return len(basis), off, float(over.max(initial=-np.inf))
+
+
+def hull_contains(points, rho, tol: float = 1e-9) -> bool:
+    """Is rho in the convex hull of the points, within tol?  tol bounds the
+    sup-norm distance to their affine hull and, in its orthonormal frame,
+    the Euclidean overshoot past an end point (dimension <= 1) or a Qhull
+    facet plane (dimension >= 2)."""
+    _, off, over = _overshoot(points, rho)
+    return off <= tol and over <= tol
 
 
 def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
@@ -150,9 +163,7 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
     jet = pressure_jet(r, c, u)
     eigs = np.linalg.eigvalsh(jet.hessian)
     if eigs.min() <= 1e-10 * max(1.0, eigs.max()):
-        raise DegenerateModel(
-            "pressure Hessian singular at 0; direction set has empty interior"
-        )
+        raise DegenerateModel("pressure Hessian singular at 0; direction set has empty interior")
     e_val = jet.pressure  # <u, rho> = 0 at the start
     grad = jet.gradient - rho
     for _ in range(_MAX_ITER):
@@ -170,13 +181,8 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
                 hess_h = -np.linalg.inv(jet.hessian)
             except np.linalg.LinAlgError as exc:
                 raise SingularHessian(str(exc)) from exc
-            return DirectionData(
-                rho=tuple(float(x) for x in rho),
-                u=tuple(float(x) for x in u),
-                entropy=float(e_val),
-                pressure_at_u=float(jet.pressure),
-                hessian_h=hess_h,
-            )
+            return DirectionData(tuple(map(float, rho)), tuple(map(float, u)), float(e_val),
+                                 float(jet.pressure), hess_h)
         try:
             step = np.linalg.solve(jet.hessian, -grad)
         except np.linalg.LinAlgError:
@@ -205,15 +211,11 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
                 break
             t *= 0.5
         else:
-            raise OutsideCone(
-                f"line search stalled with gradient norm {residual:.3g}"
-            )
+            raise OutsideCone(f"line search stalled with gradient norm {residual:.3g}")
         u, jet, e_val, grad = u_new, jet_new, e_new, grad_new
         if float(np.linalg.norm(u)) > _DIVERGE_NORM:
-            raise OutsideCone(
-                f"dual parameter diverged (|u| > {_DIVERGE_NORM:g}); "
-                "direction outside the attainable set"
-            )
+            raise OutsideCone(f"dual parameter diverged (|u| > {_DIVERGE_NORM:g}); "
+                              "direction outside the attainable set")
     raise OutsideCone(f"no convergence in {_MAX_ITER} Newton steps")
 
 
@@ -225,30 +227,24 @@ def entropy_hessian(dd: DirectionData) -> np.ndarray:
         raise SingularHessian("entropy Hessian is not finite")
     eigs = np.linalg.eigvalsh(h)
     if eigs.max() >= 0.0:
-        raise SingularHessian(
-            f"entropy Hessian not negative definite (max eigenvalue {eigs.max():.3g})"
-        )
+        raise SingularHessian(f"entropy Hessian not negative definite "
+                              f"(max eigenvalue {eigs.max():.3g})")
     return h
 
 
-def membership(
-    g: DirectedGraph,
-    w: WeightSystem,
-    rho,
-    *,
-    n_probe: int = 8,
-) -> Membership:
-    """Classify rho against the interior of the direction set.
+def membership(g: DirectedGraph, w: WeightSystem, rho) -> Membership:
+    """Classify rho against the interior of the direction set, decided
+    from the exact hull: the cycle ratios of period <= the vertex count
+    (see ``direction_hull``).
 
-    Inside when the dual solve converges; Outside when it diverges and
-    rho also falls outside the probed cycle-ratio hull; Indeterminate in
-    the near-boundary remainder (including degenerate models where the
-    interior is empty)."""
-    try:
-        solve_u(g, w, rho)
+    Outside when rho is more than 1e-9 off that hull (as ``hull_contains``
+    measures it); Inside when the hull has full dimension and rho is more
+    than 1e-9 inside every facet; Indeterminate in the remainder: within
+    1e-9 of the boundary, or in a hull with empty interior."""
+    require_valid(g)
+    dim, off, over = _overshoot(_ratio_points(g, w, g.vertex_count), rho)
+    if off > 1e-9 or over > 1e-9:
+        return Membership.OUTSIDE
+    if dim == w.dimension and over < -1e-9:
         return Membership.INSIDE
-    except (OutsideCone, DegenerateModel):
-        hull = direction_hull(g, w, n_probe)
-        if not hull.contains(rho):
-            return Membership.OUTSIDE
-        return Membership.INDETERMINATE
+    return Membership.INDETERMINATE

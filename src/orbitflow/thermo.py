@@ -76,14 +76,14 @@ def _as_u(c: np.ndarray, u) -> np.ndarray:
 
 
 def _transfer(r: np.ndarray, cu: np.ndarray, s: float) -> np.ndarray:
-    with np.errstate(over="ignore", under="ignore"):
-        return np.where(r > 0, np.exp(cu - s * r), 0.0)
+    return np.where(r > 0, np.exp(cu - s * r), 0.0)
 
 
 def transfer_matrix(g: DirectedGraph, w: WeightSystem, u, s: float) -> np.ndarray:
     """M[i-1, j-1] = exp(<u, class(i->j)> - s * roof(i->j)) on edges, 0 off."""
     r, c = edge_arrays(g, w)
-    return _transfer(r, c @ _as_u(c, u), s)
+    with np.errstate(over="ignore", under="ignore"):
+        return _transfer(r, c @ _as_u(c, u), s)
 
 
 def _dominant_pair(m: np.ndarray):
@@ -94,7 +94,10 @@ def _dominant_pair(m: np.ndarray):
     (it strictly dominates every other in modulus) and its eigenvector is
     a complex multiple of a strictly positive one.
     """
-    vals, vecs = np.linalg.eig(m)
+    try:
+        vals, vecs = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigensolve failed: {exc}") from None
     top = int(np.argmax(vals.real))
     return float(vals[top].real), np.abs(vecs[:, top]), vals
 
@@ -102,12 +105,12 @@ def _dominant_pair(m: np.ndarray):
 def _collatz_wielandt(m: np.ndarray):
     """Power iteration from the all-ones vector until the Collatz-Wielandt
     bounds min_i, max_i of (M x)_i / x_i on the Perron root agree to a few
-    ulps: the root and x."""
+    ulps: the root and x.  Callers ignore floating-point errors: a lost
+    entry fails the bounds test."""
     x = np.ones(len(m))
     for _ in range(64):
         y = m @ x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lo, hi = float((y / x).min()), float((y / x).max())
+        lo, hi = float((y / x).min()), float((y / x).max())
         if math.isfinite(hi) and hi - lo <= 4.0 * np.finfo(float).eps * hi:
             return hi, x
         x = y / y.max()
@@ -152,7 +155,8 @@ def perron(m) -> PerronData:
         raise NonConvergence("matrix has non-finite entries (over/underflow)")
     if not is_primitive_pattern(m > 0):
         raise NotPrimitive("support pattern is periodic or not strongly connected")
-    return _perron_data(m)
+    with np.errstate(all="ignore"):  # lost finiteness or positivity refuses
+        return _perron_data(m)
 
 
 def shift_pressure(g: DirectedGraph, w: WeightSystem, u, s: float) -> float:
@@ -235,7 +239,10 @@ def pressure_jet(r: np.ndarray, c: np.ndarray, u) -> PressureJet:
     (Parry & Pollicott, Asterisque 187-188).  It is symmetrised exactly.
     """
     u = _as_u(c, u)
-    s, p, pi = _flow_root(r, c, u)
+    with np.errstate(all="ignore"):  # lost finiteness or positivity refuses
+        s, p, pi = _flow_root(r, c, u)
+    if not (np.isfinite(p).all() and (p[r > 0] > 0.0).all() and (pi > 0.0).all()):
+        raise NonConvergence("eigen-chain lost finiteness or positivity")
     mu = pi[:, None] * p
     mean_roof = float((mu * r).sum())
     grad = np.einsum("ab,abd->d", mu, c) / mean_roof

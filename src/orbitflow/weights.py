@@ -292,7 +292,10 @@ def generation_check(g: DirectedGraph, w: WeightSystem, n_probe: int) -> Generat
     """Do the class vectors of cycles up to period n_probe generate the
     full integer lattice?  True iff the stacked class matrix has full rank
     and all elementary divisors equal 1.  Repeated rows span nothing new,
-    so each distinct nonzero class enters the Smith form once."""
+    so each distinct nonzero class enters the Smith form once.  On a
+    strongly connected graph n_probe >= the vertex count gives the exact
+    group: every closed walk splits into simple cycles of at most that
+    period, so its class is a sum of theirs."""
     classes = cycle_sums(g, w, n_probe).classes
     rows = np.unique(classes[classes.any(axis=1)], axis=0).tolist()
     if not rows:
@@ -311,24 +314,16 @@ def lattice_length_heuristic(
     *,
     tol: float = 1e-9,
 ) -> list[float]:
-    """Scales eps at which all probed cycle lengths sit in one coset of
-    eps * Z (within tol).
-
-    Flagged scales indicate arithmetic structure in the length spectrum.
-    Fewer than two distinct lengths cannot pin down a scale, so nothing is
-    flagged then.  An empty result means no lattice structure was detected
-    at the probed scales.
-    """
+    """Scales eps such that every probed cycle length lies within tol of
+    eps * Z, a sign of arithmetic structure in the length spectrum.  With
+    n_probe >= the vertex count the probed lengths generate the whole
+    length group (see ``generation_check``); with no cycle probed nothing
+    is flagged."""
     grid = [float(eps) for eps in eps_grid]
     if not all(0.0 < eps < np.inf for eps in grid):
         raise InvalidArgument(f"scales must be positive and finite, got {grid}")
     lengths = cycle_sums(g, w, n_probe).length
-    diffs = lengths - lengths[:1]
-    if not (np.abs(diffs) > tol).any():
+    if not len(lengths):
         return []
-    flagged = []
-    for eps in grid:
-        q = diffs / eps
-        if not (np.abs(q - np.round(q)) * eps > tol).any():
-            flagged.append(eps)
-    return flagged
+    return [eps for eps in grid
+            if (np.abs(lengths / eps - np.round(lengths / eps)) * eps <= tol).all()]

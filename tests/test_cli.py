@@ -318,3 +318,46 @@ def test_non_finite_newton_step_exits_3_with_one_line(capsys):
                          "--rho=-0.3775701322221332,0.7787958640083494")
     assert code == 3 and out == ""
     assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+
+
+# random strong graphs whose outside dual solve hit a failed eigensolve
+# (seed 141) or a zero eigen-chain normalisation (seed 3)
+PERRON_FAILURES = (
+    ("""\
+[model]
+name = seed141
+b = 2
+n_removed = 0
+vertices = 3
+[edge] from=1 to=1 roof=1.2771221645412798 class=-2,0
+[edge] from=1 to=3 roof=1.2355670553410292 class=-1,-2
+[edge] from=2 to=1 roof=0.9035158973899023 class=-1,1
+[edge] from=2 to=3 roof=0.5817240747712317 class=-2,1
+[edge] from=3 to=1 roof=1.3151127654177825 class=2,1
+[edge] from=3 to=2 roof=1.112845648529185 class=-1,-2
+""", "2.212444310475856,-1.435942383990585"),
+    ("""\
+[model]
+name = seed3
+b = 1
+n_removed = 0
+vertices = 4
+[edge] from=1 to=2 roof=1.4562672548360984 class=2
+[edge] from=1 to=4 roof=0.7842011637487915 class=-2
+[edge] from=2 to=2 roof=1.148547207079825 class=-1
+[edge] from=2 to=3 roof=1.1962159966701553 class=-2
+[edge] from=3 to=1 roof=0.7927207490124871 class=2
+[edge] from=3 to=2 roof=0.5014900835088362 class=1
+[edge] from=3 to=3 roof=1.4734602747664127 class=0
+[edge] from=4 to=2 roof=0.7984012230168757 class=-1
+""", "1.3663850482440818"),
+)
+
+
+@pytest.mark.parametrize("text,rho", PERRON_FAILURES, ids=["seed141", "seed3"])
+def test_perron_failure_exits_3_with_one_line(capsys, tmp_path, text, rho):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "entropy", str(path), "--rho", rho)
+    assert code == 3 and out == ""
+    assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1

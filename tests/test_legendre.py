@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from orbitflow import (
     DegenerateModel,
@@ -21,7 +22,9 @@ from orbitflow import (
     direction_hull,
     entropy_hessian,
     flow_pressure,
+    generation_check,
     hull_contains,
+    legendre,
     membership,
     pressure_gradient,
     pressure_hessian,
@@ -226,6 +229,84 @@ class TestMembership:
         w = zero_weights(FULL2)
         assert membership(FULL2, w, [0.0]) is Membership.INDETERMINATE
         assert membership(FULL2, w, [1.0]) is Membership.OUTSIDE
+
+    def test_one_qhull_per_call(self, monkeypatch, bench3):
+        calls = []
+        qhull = legendre._qhull
+        monkeypatch.setattr(legendre, "_qhull", lambda coords: calls.append(1) or qhull(coords))
+        rhos = [(2.0, 1.0), (-0.5, -0.5), (0.3, 0.05),
+                pressure_gradient(bench3.graph, bench3.weights, [0.1, -0.1])]
+        for i, rho in enumerate(rhos, 1):
+            membership(bench3.graph, bench3.weights, rho)
+            assert len(calls) == i
+
+    def test_low_dimensional_membership_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import orbitflow as of\n"
+            "m = of.builtin_model('full2')\n"
+            "assert of.membership(m.graph, m.weights, [2.0]) is of.Membership.OUTSIDE\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+def classify(points, rho, tol=1e-9):
+    """Membership of rho against the hull of points in dimension 1 or 2,
+    written out case by case: an interval, a polygon from Qhull's facet
+    planes, a segment or a point."""
+    pts, rho = np.asarray(points), np.asarray(rho, dtype=float)
+    if pts.shape[1] == 1:
+        lo, hi = pts.min(), pts.max()
+        if not lo - tol <= rho[0] <= hi + tol:
+            return Membership.OUTSIDE
+        return Membership.INSIDE if lo + tol < rho[0] < hi - tol else Membership.INDETERMINATE
+    if np.linalg.matrix_rank(pts - pts.mean(axis=0), tol=1e-9) == 2:
+        eq = ConvexHull(pts).equations
+        over = float((eq[:, :2] @ rho + eq[:, 2]).max())
+        if over > tol:
+            return Membership.OUTSIDE
+        return Membership.INSIDE if over < -tol else Membership.INDETERMINATE
+    a = pts[0]
+    b = pts[int(np.argmax(np.linalg.norm(pts - a, axis=1)))]
+    if np.linalg.norm(b - a) == 0.0:  # a single point
+        inside = np.abs(rho - a).max() <= tol
+    else:  # a segment
+        e = (b - a) / np.linalg.norm(b - a)
+        along = (pts - a) @ e
+        t = float((rho - a) @ e)
+        inside = (abs(float((rho - a) @ (-e[1], e[0]))) <= tol
+                  and along.min() - tol <= t <= along.max() + tol)
+    return Membership.INDETERMINATE if inside else Membership.OUTSIDE
+
+
+class TestExactAtVertexCount:
+    """A closed walk splits into simple cycles, of period at most the
+    vertex count k: the ratios and classes of period <= k already give the
+    whole direction set and class group."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), d=st.integers(1, 2))
+    def test_depth_k_is_exact(self, seed, k, d):
+        rng = np.random.default_rng(seed)
+        g = random_strong_graph(rng, k, ensure_aperiodic=True)
+        w = random_weights(rng, g, d)
+        hull, deeper = direction_hull(g, w, k), direction_hull(g, w, k + 3)
+        # the order of the two end points of a segment follows an SVD sign
+        assert (sorted(hull.vertices), hull.dim) == (sorted(deeper.vertices), deeper.dim)
+        assert generation_check(g, w, k) == generation_check(g, w, k + 4)
+        pts = np.asarray(deeper.points)
+        vertex = np.asarray(hull.vertices[0])
+        outward = vertex - pts.mean(axis=0)
+        rhos = [rng.uniform(-2.5, 2.5, size=d) for _ in range(4)]
+        rhos += [pts.mean(axis=0), vertex]
+        if outward.any():  # past the vertex, away from the centroid
+            rhos.append(vertex + 1e-3 * outward / np.linalg.norm(outward))
+        for rho in rhos:
+            assert membership(g, w, rho) is classify(pts, rho)
 
 
 class TestStrictConvexityWitness:

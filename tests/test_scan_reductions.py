@@ -74,12 +74,9 @@ def reference_generation(g, w, n):
 
 def reference_lattice(g, w, n, eps_grid, tol=1e-9):
     lengths = [birkhoff(c, w).length for c in cycles(g, n)]
-    diffs = [x - lengths[0] for x in lengths]
-    if not any(abs(dx) > tol for dx in diffs):
-        return []
     return [
         float(eps) for eps in eps_grid
-        if all(abs(dx / eps - round(dx / eps)) * eps <= tol for dx in diffs)
+        if lengths and all(abs(x / eps - round(x / eps)) * eps <= tol for x in lengths)
     ]
 
 

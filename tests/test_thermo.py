@@ -125,6 +125,14 @@ class TestPerron:
         with pytest.raises(NonConvergence):
             perron([[1.0, math.inf], [1.0, 1.0]])
 
+    def test_failed_eigensolve_does_not_converge(self, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        with pytest.raises(NonConvergence):
+            perron(np.ones((2, 2)))
+
     def test_normalization_and_residuals(self):
         rng = np.random.default_rng(31)
         for _ in range(10):

@@ -337,6 +337,15 @@ class TestLatticeHeuristic:
         flags = lattice_length_heuristic(FULL2, into2_weights(), 4, [0.25, 0.4, 0.5, 1.0])
         assert flags == [0.25, 0.5, 1.0]
 
+    def test_lengths_lie_in_eps_z_not_a_coset(self):
+        # lengths 1 and 3 at n = 3 lie in one coset of 2Z, but not in 2Z;
+        # the orbit 1 -> 1 -> 2 -> 3 of length 4 shows up only at n = 4
+        g = DirectedGraph(3, ((1, 1), (1, 2), (2, 3), (3, 1)))
+        w = WeightSystem(b=1, meridians=0, roof={e: 1.0 for e in g.edges},
+                         classes={e: (0,) for e in g.edges})
+        for n in (3, 4):
+            assert lattice_length_heuristic(g, w, n, (0.5, 1.0, 2.0, 3.0)) == [0.5, 1.0]
+
 
 class TestCohomologyInvariance:
     def test_coboundary_leaves_lengths_unchanged(self):
