@@ -7,6 +7,9 @@ beyond the cap are refused rather than estimated.  The scan is memoised:
 one scan per key (the graph, the roof and class of every edge, the length
 bound, the depth and the removed words), reused by every counter that
 asks for the same key, its arrays read-only, and at most one scan held.
+On a lattice spectrum (roofs integer multiples of the smallest) the
+total of ``margulis_total`` comes from the walk engine below instead, and
+equals the scan's: sums of integer-valued floats below 2^53 are exact.
 
 The asymptotic predictor evaluates the window-count growth law for a
 direction rho inside the attainable set: a Gaussian prefactor from the
@@ -43,7 +46,7 @@ from .errors import (
     MissingEdgeValue,
     RoofNotUnit,
 )
-from .graphs import CycleScan, DirectedGraph, PrimeCycle, scan_cycles
+from .graphs import CycleScan, DirectedGraph, PrimeCycle, require_valid, scan_cycles
 from .legendre import DirectionData, entropy_hessian
 from .thermo import equilibrium_measure, flow_pressure, integrate_observable
 from .weights import WeightSystem, check_weights_cover, smith_decomposition
@@ -132,14 +135,11 @@ _memo: tuple | None = None
 
 
 def _scan(
-    g: DirectedGraph, w: WeightSystem, max_len: float, removed, budget_cap: int,
-    *, fill: bool = True,
+    g: DirectedGraph, w: WeightSystem, max_len: float, removed, budget_cap: int
 ) -> CycleScan:
     """Prime cycles of length <= max_len, removed ones excluded, with
     lengths, classes and words in read-only arrays: the memoised scan if
-    the key matches, else a new full scan that replaces it.  A count-only
-    caller (fill=False) gets lengths alone and leaves the memo as it was.
-    """
+    the key matches, else a new scan that replaces it."""
     global _memo
     check_weights_cover(g, w)
     n_max = _depth_cap(w, max_len, budget_cap)
@@ -149,11 +149,9 @@ def _scan(
            float(max_len), n_max, exclude)
     if _memo is not None and _memo[0] == key:
         return _memo[1]
-    args = dict(n_max=n_max, edge_length=w.roof, max_len=max_len, exclude=exclude)
-    if not fill:
-        return scan_cycles(g, **args)
     _memo = None  # frees the old scan before the new one is built
-    scan = scan_cycles(g, **args, edge_vector=w.classes, words=True)
+    scan = scan_cycles(g, n_max=n_max, edge_length=w.roof, max_len=max_len,
+                       edge_vector=w.classes, exclude=exclude, words=True)
     for a in vars(scan).values():
         a.flags.writeable = False
     _memo = key, scan
@@ -223,20 +221,48 @@ def margulis_total(
     """Exact number of prime cycles of length <= T (removed excluded) and
     the growth-law reference e^(hT) / (hT) with h = flow_pressure(0).
 
+    On a lattice spectrum (every roof an integer multiple m_e of eps =
+    r_min) the count is the walk engine's, over the trivial group, on g
+    with each edge split into m_e unit steps, whose prime cycles of period
+    n are the orbits of length n eps; sums of integer roofs below 2^53 are
+    exact, so it is the scan's count.  Other spectra are scanned.
+
     The reference is the non-lattice (weak-mixing) law, which holds when
     the lengths are not all in one coset of eps * Z.  On a spectrum of
     step eps the ratio exact / reference, taken at T in eps * Z, tends to
-    h eps / (1 - e^(-h eps)) instead: 2 log 2 for full2.
+    h eps / (1 - e^(-h eps)) instead: 2 log 2 for full2 (Parry &
+    Pollicott, Asterisque 187-188, 1990).
     """
     if not (math.isfinite(T) and T > 0):
         raise InvalidArgument(f"need finite T > 0, got T={T}")
-    count = len(_scan(g, w, T, removed, budget_cap, fill=False).period)
+    check_weights_cover(g, w)
+    n_max = _depth_cap(w, T, budget_cap)
+    eps = w.r_min
+    if T < 2**53 and all(r.is_integer() and r % eps == 0 for r in w.roof.values()):
+        require_valid(g)
+        k, edges = g.vertex_count, []
+        for a, b in sorted(g.edge_set):   # edges longer than T left out
+            m = int(w.roof[a, b] // eps)
+            if m <= n_max:
+                chain = [a, *range(k + 1, k + m), b]
+                k += m - 1
+                edges += zip(chain, chain[1:])
+        unit = WeightSystem(0, 1, dict.fromkeys(edges, 1.0), dict.fromkeys(edges, (0,)))
+        one = FiniteQuotient.from_modulus(1, 1)
+        prime = _prime_counts(_closed_walks(DirectedGraph(k, edges), unit, one, n_max), one)
+        count = sum(int(p[0]) for n, p in enumerate(prime, 1) if n * eps <= T)
+        for v in {c.vertices for c in removed}:   # what the scan's exclude drops
+            steps = list(zip(v, v[1:] + v[:1]))
+            if g.edge_set.issuperset(steps) and sum(w.roof[e] for e in steps) <= T:
+                count -= 1
+    else:
+        count = len(_scan(g, w, T, removed, budget_cap).period)
     h = flow_pressure(g, w, np.zeros(w.dimension))
     return MargulisCount(count, math.exp(h * T) / (h * T))
 
 
 # ---------------------------------------------------------------------------
-# graded closed walks: one engine for the trace oracle and the density check
+# graded closed walks: the trace oracle, the lattice total, the density check
 
 def _mobius(n: int) -> int:
     if n == 1:

@@ -96,22 +96,22 @@ def _ratio_points(g: DirectedGraph, w: WeightSystem, n: int) -> np.ndarray:
 def direction_hull(g: DirectedGraph, w: WeightSystem, n: int) -> DirectionHull:
     """Hull of class/length ratios over prime cycles of period <= n, each
     distinct ratio once, in the (period, vertex sequence) order of its
-    first cycle.  On a strongly connected graph n >= the vertex count
-    gives the exact direction set: a closed walk splits into simple cycles
-    of period at most the vertex count, so its ratio is a convex
-    combination of theirs (Marcus & Tuncel, ETDS 11, 1991; Ziemian, Fund.
-    Math. 146, 1995)."""
+    first cycle; the vertices keep that order.  On a strongly connected
+    graph n >= the vertex count gives the exact direction set: a closed
+    walk splits into simple cycles of period at most the vertex count, so
+    its ratio is a convex combination of theirs (Marcus & Tuncel, ETDS 11,
+    1991; Ziemian, Fund. Math. 146, 1995)."""
     arr = _ratio_points(g, w, n)
     pts = tuple(map(tuple, arr.tolist()))
     _, basis, coords = _affine_frame(arr)
     dim = len(basis)
     if dim == 0:
-        vertices = (pts[0],)
+        index = [0]
     elif dim == 1:
-        vertices = (pts[int(np.argmin(coords[:, 0]))], pts[int(np.argmax(coords[:, 0]))])
+        index = [int(np.argmin(coords[:, 0])), int(np.argmax(coords[:, 0]))]
     else:
-        vertices = tuple(pts[i] for i in sorted(_qhull(coords).vertices))
-    return DirectionHull(pts, vertices, dim)
+        index = _qhull(coords).vertices
+    return DirectionHull(pts, tuple(pts[i] for i in sorted(index)), dim)
 
 
 def _overshoot(points, rho) -> tuple[int, float, float]:

@@ -186,6 +186,18 @@ class TestMargulis:
         assert fields[1] == "7"  # 8 prime cycles minus the removed one
         assert float(fields[2]) == pytest.approx(16 / (4 * math.log(2)), rel=1e-9)
 
+    def test_raised_budget_counts_past_the_default(self, capsys):
+        # the binary necklace total for n <= 40, minus the removed orbit
+        code, out, _ = run(capsys, "margulis", "full2", "--T", "40", "--budget", "40")
+        assert code == 0
+        _, row = out.strip().splitlines()
+        assert row.split(",")[:2] == ["40.0", "56466147790"]
+
+    def test_default_budget_exits_3(self, capsys):
+        code, out, err = run(capsys, "margulis", "full2", "--T", "40")
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "cap 32" in err
+
 
 class TestChebotarev:
     def test_mod_flag(self, capsys):

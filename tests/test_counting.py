@@ -21,6 +21,8 @@ from orbitflow import (
     FiniteQuotient,
     InfiniteQuotient,
     InvalidArgument,
+    InvalidGraph,
+    MissingEdgeWeight,
     PrimeCycle,
     RoofNotUnit,
     WeightSystem,
@@ -213,6 +215,60 @@ def test_counters_match_brute_force_on_random_models(seed, k, d, data):
     assert cold["equi"] == ((len(selected), _brute_mean(selected, phi)) if selected else None)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), data=st.data())
+def test_lattice_total_matches_scan_and_brute_force(seed, k, data):
+    """Roofs in {1, 2, 3}: the total comes from the walk engine when every
+    roof is a multiple of the smallest, and equals both the scan called
+    directly and the brute-force enumeration."""
+    rng = np.random.default_rng(seed)
+    g = random_strong_graph(rng, k, ensure_aperiodic=True)
+    w = random_weights(rng, g, 1)
+    w = WeightSystem(w.b, w.meridians, {e: float(rng.integers(1, 4)) for e in g.edges}, w.classes)
+    T = data.draw(st.floats(1.0, 9.0))
+    depth = max(int(math.floor(T / w.r_min)), 1)
+    assume(k**depth <= 20_000)  # keeps the brute force small
+    brute = {c: birkhoff(PrimeCycle(c), w).length for c in brute_force_prime_cycles(g, depth)}
+    drawn = data.draw(st.lists(st.sampled_from(sorted(brute)), max_size=3))
+    absent = sorted(set(itertools.product(range(1, k + 2), repeat=2)) - g.edge_set)[0]
+    not_a_cycle = PrimeCycle(absent[:1] if absent[0] == absent[1] else absent)
+    removed = tuple(PrimeCycle(c) for c in drawn + drawn[:1]) + (not_a_cycle,)
+    kept = [c for c, length in brute.items() if length <= T and c not in drawn]
+
+    lattice = all(r % w.r_min == 0 for r in w.roof.values())
+    scans = []
+    real = counting.scan_cycles
+    counting.scan_cycles = lambda *a, **kw: scans.append(a) or real(*a, **kw)
+    try:
+        total = margulis_total(g, w, removed, T).exact
+        below = margulis_total(g, w, removed, 0.5 * w.r_min).exact
+    finally:
+        counting.scan_cycles = real
+    assert (scans == []) is lattice
+    assert total == len(kept) == len(counting._scan(g, w, T, removed, 32).period)
+    assert below == 0
+
+
+def test_lattice_total_refuses_what_the_scan_refuses():
+    outside = DirectedGraph(2, FULL2.edges + ((2, 3),))
+    cases = [
+        (DirectedGraph(2, ((1, 1), (1, 2), (2, 2))), (), InvalidGraph),  # not strongly connected
+        (DirectedGraph(3, FULL2.edges), (), InvalidGraph),              # vertex 3 has no edge
+        (outside, (), InvalidGraph),                                    # edge to vertex 3 of 2
+        (outside, ((2, 3),), MissingEdgeWeight),
+    ]
+    for g, unweighted, error in cases:
+        edges = g.edge_set - set(unweighted)
+        w = WeightSystem(0, 1, dict.fromkeys(edges, 2.0), dict.fromkeys(edges, (0,)))
+        for count in (lambda: margulis_total(g, w, (), 6.0),
+                      lambda: counting._scan(g, w, 6.0, (), 32)):
+            with pytest.raises(error):
+                count()
+    with pytest.raises(BudgetExceeded):
+        margulis_total(FULL2, into2(), (), 33.0)
+    assert margulis_total(FULL2, into2(), (), 32.0).exact == sum(necklaces(2, 32).values())
+
+
 class TestScanMemo:
     """One scan per (graph, weights content, T, removed), shared by every
     counter; results always equal those of a cold memo."""
@@ -257,9 +313,8 @@ class TestScanMemo:
         for hot in sorted(g.edges):
             equidistribution_test(g, w, dd, q, {e: float(e == hot) for e in g.edges})
         margulis_total(full2.graph, full2.weights, full2.removed, 20.0)
-        exact_window_count(g, w, q)   # the count-only full2 scan kept the memo
-        assert scans.count(g) == 1
-        assert len(scans) == 2
+        exact_window_count(g, w, q)
+        assert scans == [g]
 
     def test_changed_inputs_rescan(self, scans, bench3):
         g, removed = bench3.graph, bench3.removed

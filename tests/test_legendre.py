@@ -86,6 +86,15 @@ class TestDirectionHull:
         for p in hull.points:
             assert hull.contains(p, tol=1e-7)
 
+    def test_segment_end_points_in_point_order(self):
+        # a segment whose SVD basis has one sign at n = 2 and the other at 3
+        rng = np.random.default_rng(306949992)
+        g = random_strong_graph(rng, 2, ensure_aperiodic=True)
+        w = random_weights(rng, g, 2)
+        hulls = [direction_hull(g, w, n) for n in range(2, 7)]
+        assert {h.dim for h in hulls} == {1}
+        assert {h.vertices for h in hulls} == {hulls[0].points[:2]}
+
     def test_containment(self):
         hull = direction_hull(FULL2, into2(), 3)
         assert hull.contains((0.4,))
@@ -295,8 +304,7 @@ class TestExactAtVertexCount:
         g = random_strong_graph(rng, k, ensure_aperiodic=True)
         w = random_weights(rng, g, d)
         hull, deeper = direction_hull(g, w, k), direction_hull(g, w, k + 3)
-        # the order of the two end points of a segment follows an SVD sign
-        assert (sorted(hull.vertices), hull.dim) == (sorted(deeper.vertices), deeper.dim)
+        assert (hull.vertices, hull.dim) == (deeper.vertices, deeper.dim)
         assert generation_check(g, w, k) == generation_check(g, w, k + 4)
         pts = np.asarray(deeper.points)
         vertex = np.asarray(hull.vertices[0])

@@ -55,7 +55,7 @@ def reference_hull(g, w, n):
         vertices = (pts[0],)
     elif dim == 1:
         along = centered @ basis[0]
-        vertices = (pts[int(np.argmin(along))], pts[int(np.argmax(along))])
+        vertices = tuple(pts[i] for i in sorted({int(np.argmin(along)), int(np.argmax(along))}))
     else:
         hull = ConvexHull(centered @ basis[:dim].T)
         vertices = tuple(pts[i] for i in sorted(hull.vertices))
