@@ -7,9 +7,10 @@ beyond the cap are refused rather than estimated.  The scan is memoised:
 one scan per key (the graph, the roof and class of every edge, the length
 bound, the depth and the removed words), reused by every counter that
 asks for the same key, its arrays read-only, and at most one scan held.
-On a lattice spectrum (roofs integer multiples of the smallest) the
-total of ``margulis_total`` comes from the walk engine below instead, and
-equals the scan's: sums of integer-valued floats below 2^53 are exact.
+When every roof is one integer-valued constant (``full2``,
+``goldenmean``) the total of ``margulis_total`` comes from the walk engine
+below instead, and equals the scan's: sums of integer-valued floats below
+2^53 are exact.
 
 The asymptotic predictor evaluates the window-count growth law for a
 direction rho inside the attainable set: a Gaussian prefactor from the
@@ -221,11 +222,10 @@ def margulis_total(
     """Exact number of prime cycles of length <= T (removed excluded) and
     the growth-law reference e^(hT) / (hT) with h = flow_pressure(0).
 
-    On a lattice spectrum (every roof an integer multiple m_e of eps =
-    r_min) the count is the walk engine's, over the trivial group, on g
-    with each edge split into m_e unit steps, whose prime cycles of period
-    n are the orbits of length n eps; sums of integer roofs below 2^53 are
-    exact, so it is the scan's count.  Other spectra are scanned.
+    When every roof is one integer-valued eps, an orbit of period n has
+    length n eps, so the count is the walk engine's prime counts over the
+    trivial group for n eps <= T; sums of integers below 2^53 are exact,
+    so it is the scan's count.  Other spectra are scanned.
 
     The reference is the non-lattice (weak-mixing) law, which holds when
     the lengths are not all in one coset of eps * Z.  On a spectrum of
@@ -238,22 +238,13 @@ def margulis_total(
     check_weights_cover(g, w)
     n_max = _depth_cap(w, T, budget_cap)
     eps = w.r_min
-    if T < 2**53 and all(r.is_integer() and r % eps == 0 for r in w.roof.values()):
+    if eps.is_integer() and T < 2**53 and all(r == eps for r in w.roof.values()):
         require_valid(g)
-        k, edges = g.vertex_count, []
-        for a, b in sorted(g.edge_set):   # edges longer than T left out
-            m = int(w.roof[a, b] // eps)
-            if m <= n_max:
-                chain = [a, *range(k + 1, k + m), b]
-                k += m - 1
-                edges += zip(chain, chain[1:])
-        unit = WeightSystem(0, 1, dict.fromkeys(edges, 1.0), dict.fromkeys(edges, (0,)))
-        one = FiniteQuotient.from_modulus(1, 1)
-        prime = _prime_counts(_closed_walks(DirectedGraph(k, edges), unit, one, n_max), one)
+        one = FiniteQuotient.from_modulus(1, w.dimension)
+        prime = _prime_counts(_closed_walks(g, w, one, n_max), one)
         count = sum(int(p[0]) for n, p in enumerate(prime, 1) if n * eps <= T)
         for v in {c.vertices for c in removed}:   # what the scan's exclude drops
-            steps = list(zip(v, v[1:] + v[:1]))
-            if g.edge_set.issuperset(steps) and sum(w.roof[e] for e in steps) <= T:
+            if g.edge_set.issuperset(zip(v, v[1:] + v[:1])) and len(v) * eps <= T:
                 count -= 1
     else:
         count = len(_scan(g, w, T, removed, budget_cap).period)

@@ -218,13 +218,16 @@ def test_counters_match_brute_force_on_random_models(seed, k, d, data):
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), data=st.data())
 def test_lattice_total_matches_scan_and_brute_force(seed, k, data):
-    """Roofs in {1, 2, 3}: the total comes from the walk engine when every
-    roof is a multiple of the smallest, and equals both the scan called
-    directly and the brute-force enumeration."""
+    """Roofs in {1, 2, 3}, half the time one value on every edge: the
+    total comes from the walk engine exactly when every roof is the same,
+    and equals both the scan called directly and the brute-force
+    enumeration."""
     rng = np.random.default_rng(seed)
     g = random_strong_graph(rng, k, ensure_aperiodic=True)
     w = random_weights(rng, g, 1)
-    w = WeightSystem(w.b, w.meridians, {e: float(rng.integers(1, 4)) for e in g.edges}, w.classes)
+    one = data.draw(st.booleans(), label="one roof") and rng.integers(1, 4)
+    roof = {e: float(one or rng.integers(1, 4)) for e in g.edges}
+    w = WeightSystem(w.b, w.meridians, roof, w.classes)
     T = data.draw(st.floats(1.0, 9.0))
     depth = max(int(math.floor(T / w.r_min)), 1)
     assume(k**depth <= 20_000)  # keeps the brute force small
@@ -235,7 +238,7 @@ def test_lattice_total_matches_scan_and_brute_force(seed, k, data):
     removed = tuple(PrimeCycle(c) for c in drawn + drawn[:1]) + (not_a_cycle,)
     kept = [c for c, length in brute.items() if length <= T and c not in drawn]
 
-    lattice = all(r % w.r_min == 0 for r in w.roof.values())
+    lattice = len(set(roof.values())) == 1
     scans = []
     real = counting.scan_cycles
     counting.scan_cycles = lambda *a, **kw: scans.append(a) or real(*a, **kw)
@@ -267,6 +270,16 @@ def test_lattice_total_refuses_what_the_scan_refuses():
     with pytest.raises(BudgetExceeded):
         margulis_total(FULL2, into2(), (), 33.0)
     assert margulis_total(FULL2, into2(), (), 32.0).exact == sum(necklaces(2, 32).values())
+
+
+def test_total_refuses_class_overflow_only_on_the_scan():
+    # the scan carries every cycle's class and refuses when a class sum
+    # could pass int64; the walk engine's trivial group ignores classes
+    big = dict.fromkeys(FULL2.edges, (2**62,))
+    unit = WeightSystem(0, 1, dict.fromkeys(FULL2.edges, 1.0), big)
+    assert margulis_total(FULL2, unit, (), 6.0).exact == sum(necklaces(2, 6).values())
+    with pytest.raises(InvalidArgument, match="int64"):
+        margulis_total(FULL2, WeightSystem(0, 1, dict.fromkeys(FULL2.edges, 1.5), big), (), 6.0)
 
 
 class TestScanMemo:
@@ -605,7 +618,7 @@ class TestMargulis:
 
     def test_full2_necklace_total_at_20(self, full2):
         # sum over n <= 20 of the binary Lyndon word counts, minus the
-        # removed orbit; the scan's frontier spans several blocks here
+        # removed orbit; full2 has unit roofs, so the walk engine counts it
         res = margulis_total(full2.graph, full2.weights, full2.removed, 20.0)
         assert res.exact == 111_012
 
