@@ -236,9 +236,9 @@ def margulis_total(
     if not (math.isfinite(T) and T > 0):
         raise InvalidArgument(f"need finite T > 0, got T={T}")
     check_weights_cover(g, w)
-    n_max = _depth_cap(w, T, budget_cap)
     eps = w.r_min
     if eps.is_integer() and T < 2**53 and all(r == eps for r in w.roof.values()):
+        n_max = _depth_cap(w, T, budget_cap)
         require_valid(g)
         one = FiniteQuotient.from_modulus(1, w.dimension)
         prime = _prime_counts(_closed_walks(g, w, one, n_max), one)
