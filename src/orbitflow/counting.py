@@ -7,6 +7,8 @@ beyond the cap are refused rather than estimated.  The scan is memoised:
 one scan per key (the graph, the roof and class of every edge, the length
 bound, the depth and the removed words), reused by every counter that
 asks for the same key, its arrays read-only, and at most one scan held.
+Likewise the equilibrium state that ``equidistribution_test`` integrates
+against is solved once per (graph, roof and class of every edge, u).
 When every roof is one integer-valued constant (``full2``,
 ``goldenmean``) the total of ``margulis_total`` comes from the walk engine
 below instead, and equals the scan's: sums of integer-valued floats below
@@ -131,8 +133,14 @@ def _depth_cap(w: WeightSystem, max_len: float, budget_cap: int) -> int:
     return max(depth, 1)
 
 
-# the last full scan, as (key, scan); replaced whole, never edited
+# the last scan and the last equilibrium measure, as (key, value); replaced whole
 _memo: tuple | None = None
+_measure_memo: tuple | None = None
+
+
+def _content_key(g: DirectedGraph, w: WeightSystem, *rest) -> tuple:
+    """Memo key: content, not id(w), as a WeightSystem can be edited in place."""
+    return g, [(w.roof[e], w.classes[e]) for e in sorted(g.edge_set)], *rest
 
 
 def _scan(
@@ -145,9 +153,7 @@ def _scan(
     check_weights_cover(g, w)
     n_max = _depth_cap(w, max_len, budget_cap)
     exclude = tuple(c.vertices for c in removed)
-    # content, not id(w): a WeightSystem's dicts can be edited in place
-    key = (g, [(w.roof[e], w.classes[e]) for e in sorted(g.edge_set)],
-           float(max_len), n_max, exclude)
+    key = _content_key(g, w, float(max_len), n_max, exclude)
     if _memo is not None and _memo[0] == key:
         return _memo[1]
     _memo = None  # frees the old scan before the new one is built
@@ -171,14 +177,21 @@ def _edge_sums(g: DirectedGraph, words, period, phi: dict) -> np.ndarray:
     return np.cumsum(table[words, heads], axis=1)[:, -1]
 
 
+def _rows_equal(rows, vector, mask) -> np.ndarray:
+    """mask & (rows == vector).all(axis=1), ANDed in place one column at a
+    time: numpy's reduction over a short axis costs more than the compares."""
+    if np.shape(vector) != rows.shape[1:]:
+        raise DimensionMismatch(
+            f"class vector has length {np.size(vector)}, class dimension is {rows.shape[1]}")
+    for i, x in enumerate(vector):
+        mask &= rows[:, i] == x
+    return mask
+
+
 def _in_window(lengths, classes, T, delta, target) -> np.ndarray:
     """Mask of the cycles with length in (T - delta, T] and class target."""
     target = np.asarray(target, dtype=np.int64)
-    if target.shape != classes.shape[1:]:
-        raise DimensionMismatch(
-            f"target has length {target.size}, class dimension is {classes.shape[1]}"
-        )
-    return (lengths > T - delta) & (lengths <= T) & (classes == target).all(axis=1)
+    return _rows_equal(classes, target, (lengths > T - delta) & (lengths <= T))
 
 
 def exact_window_count(
@@ -351,13 +364,9 @@ def trace_prime_count(g: DirectedGraph, w: WeightSystem, n: int, beta) -> int:
         raise InvalidArgument(f"period must be >= 1, got {n}")
     _, walks, vectors = _box_walks(g, w, n)
     beta = tuple(int(x) for x in beta)
-    if len(beta) != w.dimension:
-        raise DimensionMismatch(
-            f"beta has length {len(beta)}, class dimension is {w.dimension}"
-        )
     total = 0
     for j in _divisors(math.gcd(n, *beta)):
-        at = (vectors == [b // j for b in beta]).all(axis=1)
+        at = _rows_equal(vectors, [b // j for b in beta], np.ones(len(vectors), dtype=bool))
         total += _mobius(j) * sum(walks[n // j - 1][at])
     if total % n != 0 or total < 0:
         raise AssertionError(f"inconsistent walk counts for (n={n}, beta={beta})")
@@ -679,7 +688,9 @@ def equidistribution_test(
     budget_cap: int = 32,
 ) -> EquidistributionResult:
     """Average of the per-orbit time averages of phi over the window/class
-    selection, against the equilibrium-state expectation at dd.u."""
+    selection, against the equilibrium-state expectation at dd.u; that
+    state is solved once per (graph, roof and class of every edge, dd.u)."""
+    global _measure_memo
     missing = g.edge_set - set(phi)
     if missing:
         raise MissingEdgeValue(f"observable undefined on edges: {sorted(missing)}")
@@ -696,5 +707,8 @@ def equidistribution_test(
     total = 0.0
     for s, length in zip(sums.tolist(), scan.length[sel].tolist()):
         total += s / length
-    expected = integrate_observable(equilibrium_measure(g, w, dd.u), w, phi_vals)
+    key = _content_key(g, w, tuple(map(float, dd.u)))
+    if _measure_memo is None or _measure_memo[0] != key:
+        _measure_memo = key, equilibrium_measure(g, w, dd.u)
+    expected = integrate_observable(_measure_memo[1], w, phi_vals)
     return EquidistributionResult(total / len(sel), expected, len(sel))

@@ -168,12 +168,13 @@ def require_valid(g: DirectedGraph) -> None:
 
 def is_primitive_pattern(pattern) -> bool:
     """True iff some power of the square 0/1 pattern is entrywise positive;
-    by Wielandt's bound (k-1)^2 + 1, repeated squaring up to it decides."""
-    power = np.asarray(pattern) != 0
+    by Wielandt's bound (k-1)^2 + 1, repeated squaring up to it decides.
+    Squared in float64, so by BLAS, and clipped to 0/1: entries <= k are exact."""
+    power = (np.asarray(pattern) != 0).astype(np.float64)
     k = power.shape[0]
     exponent = 1
     while exponent < (k - 1) * (k - 1) + 1:
-        power = (power.astype(np.int64) @ power.astype(np.int64)) > 0
+        power = np.minimum(power @ power, 1.0)
         exponent *= 2
     return bool(power.all())
 

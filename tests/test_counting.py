@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitflow import (
@@ -32,8 +32,10 @@ from orbitflow import (
     cycle_table,
     enumerate_prime_cycles,
     equidistribution_test,
+    equilibrium_measure,
     exact_window_count,
     floor_class,
+    integrate_observable,
     jitter_averaged_ratio,
     margulis_total,
     predict_count,
@@ -141,9 +143,29 @@ class TestTargetClass:
             lambda: predict_count(g, w, dd, q),
             lambda: equidistribution_test(g, w, dd, q, phi),
             lambda: window_count_from_table(np.ones(1), np.zeros((1, 2)), 1.0, 1.0, (0,)),
+            lambda: trace_prime_count(FULL2, into2(), 3, (0, 0)),
         ):
             with pytest.raises(DimensionMismatch):
                 call()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(st.integers(1, 3), st.integers(0, 40), st.integers(0, 2**32 - 1))
+@example(d=2, rows=0, seed=0)
+def test_in_window_equals_the_row_reduction(d, rows, seed):
+    # lengths on a half-step grid hit both window ends exactly
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(0, 9, rows) * 0.5
+    classes = rng.integers(-1, 2, (rows, d))
+    T, delta = float(rng.integers(1, 9) * 0.5), float(rng.integers(1, 5) * 0.5)
+    for target in [tuple(rng.integers(-1, 2, d).tolist()) for _ in range(3)] + [
+            tuple(classes[i].tolist()) for i in range(min(rows, 3))]:
+        want = (lengths > T - delta) & (lengths <= T) & (classes == target).all(axis=1)
+        got = counting._in_window(lengths, classes, T, delta, target)
+        assert got.dtype == bool and got.tolist() == want.tolist()
+    for target in ((0,) * (d + 1), (0,) * (d - 1)):
+        with pytest.raises(DimensionMismatch):
+            counting._in_window(lengths, classes, T, delta, target)
 
 
 def _brute_mean(selected, phi):
@@ -299,6 +321,19 @@ class TestScanMemo:
         monkeypatch.setattr(counting, "_memo", None)
         return calls
 
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        real = counting.equilibrium_measure
+
+        def counted(g, w, u):
+            calls.append(tuple(u))
+            return real(g, w, u)
+
+        monkeypatch.setattr(counting, "equilibrium_measure", counted)
+        monkeypatch.setattr(counting, "_measure_memo", None)
+        return calls
+
     @staticmethod
     def results(g, w, T, removed):
         """Every scan-fed counter at T, in a comparable form."""
@@ -328,6 +363,39 @@ class TestScanMemo:
         margulis_total(full2.graph, full2.weights, full2.removed, 20.0)
         exact_window_count(g, w, q)
         assert scans == [g]
+
+    def test_orbit_counts_op_solves_one_measure(self, solves, bench3):
+        g, w, removed = bench3.graph, bench3.weights, bench3.removed
+        rho = tuple(pressure_gradient(g, w, np.zeros(2)))
+        dd = solve_u(g, w, rho)
+        q = CountQuery(T=20.0, delta=1.0, rho=rho, alpha=(0, 0), removed=removed)
+        for hot in sorted(g.edges):
+            equidistribution_test(g, w, dd, q, {e: float(e == hot) for e in g.edges})
+        assert solves == [tuple(dd.u)]
+
+    def test_changed_inputs_resolve_the_measure(self, solves, bench3):
+        def expected(g, w, u, T=12.0):
+            rho = tuple(pressure_gradient(g, w, np.zeros(w.dimension)))
+            dd = DirectionData(rho=rho, u=u, entropy=0.0, pressure_at_u=0.0,
+                               hessian_h=-np.eye(w.dimension))
+            q = CountQuery(T=T, delta=1.0, rho=rho, alpha=(0,) * w.dimension)
+            phi = {e: 0.1 * i for i, e in enumerate(sorted(g.edges))}
+            got = equidistribution_test(g, w, dd, q, phi).expected
+            assert got == integrate_observable(equilibrium_measure(g, w, u), w, phi)
+            return got
+
+        g = bench3.graph
+        w = WeightSystem(bench3.weights.b, bench3.weights.meridians,
+                         dict(bench3.weights.roof), dict(bench3.weights.classes))
+        base = expected(g, w, (0.0, 0.0))
+        assert expected(g, w, (0.0, 0.0)) == base and len(solves) == 1
+        assert expected(g, w, (0.1, -0.2)) != base and len(solves) == 2
+        golden = DirectedGraph(2, ((1, 1), (1, 2), (2, 1)))
+        assert expected(golden, into2(), (0.0,)) != expected(FULL2, into2(), (0.0,))
+        assert len(solves) == 4
+        expected(g, w, (0.0, 0.0))
+        w.roof[sorted(g.edges)[4]] += 0.25  # edited in place: same object, new content
+        assert expected(g, w, (0.0, 0.0)) != base and len(solves) == 6
 
     def test_changed_inputs_rescan(self, scans, bench3):
         g, removed = bench3.graph, bench3.removed

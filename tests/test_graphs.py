@@ -86,6 +86,41 @@ class TestAperiodic:
                     break
             assert is_aperiodic(g) == positive
 
+    def test_pattern_matches_the_definition(self):
+        # periodic, reducible and primitive patterns, and Wielandt's
+        # pattern, whose first positive power is the bound (k-1)^2 + 1
+        def by_definition(a):
+            k = len(a)
+            power = np.eye(k, dtype=np.int64)
+            for _ in range((k - 1) ** 2 + 1):
+                power = np.minimum(power @ a, 1)
+                if power.min() > 0:
+                    return True
+            return False
+
+        rng = np.random.default_rng(2026)
+        for k in range(1, 9):
+            wielandt = np.eye(k, k, 1, dtype=np.int64)
+            wielandt[-1, 0] = wielandt[-1, min(1, k - 1)] = 1
+            cases = [(wielandt, True)]
+            for _ in range(10):
+                perm = rng.permutation(k)
+                p = int(rng.choice([q for q in range(2, k + 1) if k % q == 0] or [1]))
+                layer = np.empty(k, dtype=np.int64)
+                layer[perm] = np.arange(k) % p
+                step = (layer[None, :] - layer[:, None]) % p == 1 % p
+                periodic = step & (rng.random((k, k)) < 0.6)
+                periodic[perm, np.roll(perm, -1)] = True
+                reducible = rng.random((k, k)) < 0.7
+                cut = int(rng.integers(1, k)) if k > 1 else 1
+                reducible[np.ix_(perm[cut:], perm[:cut])] = False
+                primitive = rng.random((k, k)) < 0.3
+                primitive[perm, np.roll(perm, -1)] = primitive[perm[0], perm[0]] = True
+                cases += [(periodic, p == 1), (reducible, k == 1 and reducible[0, 0]),
+                          (primitive, True)]
+            for a, want in cases:
+                assert graphs.is_primitive_pattern(a) == by_definition(a.astype(np.int64)) == want
+
 
 class TestCanonicalForm:
     def test_rotates_to_minimum(self):
