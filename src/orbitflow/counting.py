@@ -23,12 +23,12 @@ T * rho and the class offset.
 One graded walk-count engine checks the class counts independently of
 the scan.  It counts closed walks by the element of a finite group
 (numbered 0..N-1) that their ordered edge labels multiply to, in a
-(k, k, N) array of exact integers, and inverts the counts per conjugacy
-class to prime-cycle counts by one Mobius recursion on arrays.  It serves
-the unit-roof oracle, on a box Z^d / diag(S) that no class of a walk of
-at most n steps wraps around, and the density check over a
-``FiniteQuotient`` (integer lattice or explicit finite group), whose class
-frequencies of prime cycles approach |C| / |G|.
+(k, k, N) array: int64 while the entries and trace of A^m stay under 2^62,
+Python ints from then on.  It inverts them per conjugacy class to prime-cycle
+counts by one Mobius recursion, and serves the unit-roof oracle, on a box
+Z^d / diag(S) that no class of a walk of at most n steps wraps around,
+and the density check over a ``FiniteQuotient`` (integer lattice or
+explicit finite group), whose class frequencies approach |C| / |G|.
 """
 
 from __future__ import annotations
@@ -255,24 +255,24 @@ def margulis_total(
         require_valid(g)
         one = FiniteQuotient.from_modulus(1, w.dimension)
         prime = _prime_counts(_closed_walks(g, w, one, n_max), one)
-        count = sum(int(p[0]) for n, p in enumerate(prime, 1) if n * eps <= T)
-        for v in {c.vertices for c in removed}:   # what the scan's exclude drops
-            if g.edge_set.issuperset(zip(v, v[1:] + v[:1])) and len(v) * eps <= T:
-                count -= 1
+        n_top = sum(n * eps <= T for n in range(1, n_max + 1))
+        count = sum(int(p[0]) for p in prime[:n_top]) - len(_removed_cycles(g, removed, n_top))
     else:
         count = len(_scan(g, w, T, removed, budget_cap).period)
     h = flow_pressure(g, w, np.zeros(w.dimension))
     return MargulisCount(count, math.exp(h * T) / (h * T))
 
 
+def _removed_cycles(g: DirectedGraph, removed, n_max: int) -> set:
+    """The distinct removed cycles of g of period <= n_max: what a scan excludes."""
+    return {c for c in removed if c.period <= n_max and g.edge_set.issuperset(c.edges())}
+
+
 # ---------------------------------------------------------------------------
 # graded closed walks: the trace oracle, the lattice total, the density check
 
 def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    result = 1
-    p = 2
+    result, p = 1, 2
     while p * p <= n:
         if n % p == 0:
             n //= p
@@ -280,34 +280,46 @@ def _mobius(n: int) -> int:
                 return 0
             result = -result
         p += 1
-    if n > 1:
-        result = -result
-    return result
+    return -result if n > 1 else result
 
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+_INT64_LIMIT = 2.0**62   # float A^m under it proves the walk counts fit int64, 2x to spare
+
+
 def _closed_walks(g: DirectedGraph, w: WeightSystem, quot: "FiniteQuotient", n_max: int):
-    """walks[m - 1][c] = closed m-step walks whose ordered edge-label
-    product lies in class c of quot, for m = 1..n_max, as exact integers.
+    """walks[m - 1][c] = closed m-step walks whose ordered edge-label product
+    lies in class c of quot, m = 1..n_max: int64 under the bound, then Python ints.
 
     W[i, j, x] counts the walks i -> j with product x; a step along the
-    edge (t, h) labelled a adds W[:, t, x] into W[:, h, x a].
+    edge (t, h) labelled a gathers W[:, t, x a^-1] into W[:, h, x].  W[i, j]
+    sums to (A^m)_ij, so max A^m bounds W and trace A^m each class sum; both
+    are at most k r^m for the largest out-degree r, which spares the powers
+    while k r^n_max is under the bound.
     """
     every, diag = np.arange(quot.order), np.arange(g.vertex_count)
-    steps = [(t - 1, h - 1, quot._mul(every, quot._edge_element(w, (t, h)))) for t, h in g.edges]
-    W = np.zeros((len(diag), len(diag), quot.order), dtype=object)
+    steps = [(t - 1, h - 1, np.argsort(quot._mul(every, quot._edge_element(w, (t, h)))))
+             for t, h in g.edges]
+    adjacency, paths = g.adjacency().astype(float), np.eye(len(diag))
+    wide = len(diag) * int(adjacency.sum(axis=1).max()) ** n_max >= _INT64_LIMIT
+    W = np.zeros((len(diag), len(diag), quot.order), dtype=np.int64)
     W[diag, diag, quot._identity] = 1
     walks = []
     for _ in range(n_max):
+        if wide and W.dtype != object and (paths := paths @ adjacency).max() >= _INT64_LIMIT:
+            W = W.astype(object)
         step = np.zeros_like(W)
-        for t, h, right in steps:
-            step[:, h, right] += W[:, t]
+        for t, h, inverse in steps:
+            step[:, h] += W[:, t, inverse]
         W = step
-        by_class = np.zeros(len(quot._class_keys), dtype=object)
-        np.add.at(by_class, quot._class_of, W[diag, diag].sum(axis=0))
+        closed = W[diag, diag]
+        if wide and np.trace(paths) >= _INT64_LIMIT:   # W may still be int64
+            closed = closed.astype(object)
+        by_class = np.zeros(len(quot._class_keys), dtype=closed.dtype)
+        np.add.at(by_class, quot._class_of, closed.sum(axis=0))
         walks.append(by_class)
     return walks
 
@@ -317,7 +329,7 @@ def _prime_counts(walks, quot: "FiniteQuotient"):
 
     A prime cycle of period p in class c, run q times, closes p walks of
     length p q in the class of its q-th power (well defined on conjugacy
-    classes); those are subtracted before dividing by m.
+    classes); those are subtracted, in period m's dtype, before dividing by m.
     """
     prime = []
     powers = [np.full_like(quot._reps, quot._identity)]   # reps^q, q = 0, 1, ...
@@ -351,10 +363,9 @@ def _box_walks(g: DirectedGraph, w: WeightSystem, n_max: int):
 def trace_prime_counts_table(g: DirectedGraph, w: WeightSystem, n_max: int):
     """prime[m][beta] for all m <= n_max, by walk traces and inversion."""
     box, walks, vectors = _box_walks(g, w, n_max)
-    return {
-        m: {tuple(vectors[x].tolist()): row[x] for x in np.flatnonzero(row != 0)}
-        for m, row in enumerate(_prime_counts(walks, box), 1)
-    }
+    keys = list(map(tuple, vectors.tolist()))
+    return {m: dict(zip(itertools.compress(keys, (row != 0).tolist()), row[row != 0].tolist()))
+            for m, row in enumerate(_prime_counts(walks, box), 1)}
 
 
 def trace_prime_count(g: DirectedGraph, w: WeightSystem, n: int, beta) -> int:
@@ -367,7 +378,7 @@ def trace_prime_count(g: DirectedGraph, w: WeightSystem, n: int, beta) -> int:
     total = 0
     for j in _divisors(math.gcd(n, *beta)):
         at = _rows_equal(vectors, [b // j for b in beta], np.ones(len(vectors), dtype=bool))
-        total += _mobius(j) * sum(walks[n // j - 1][at])
+        total += _mobius(j) * int(walks[n // j - 1][at].sum())
     if total % n != 0 or total < 0:
         raise AssertionError(f"inconsistent walk counts for (n={n}, beta={beta})")
     return total // n
@@ -654,14 +665,13 @@ def chebotarev_distribution(
     Counts are exact: closed-walk traces in the quotient's group algebra,
     inverted to prime-cycle counts class by class.
     """
+    if n_max < 1:
+        raise InvalidArgument(f"period bound must be >= 1, got {n_max}")
     check_weights_cover(g, w)
-    walks = _closed_walks(g, w, quot, n_max)
-    per_class = sum(_prime_counts(walks, quot), np.zeros(len(quot._class_keys), dtype=object))
-    counts = dict(zip(quot.all_class_keys(), per_class.tolist()))
-    for c in removed:
-        if c.period <= n_max:
-            key = quot.cycle_class(w, c)
-            counts[key] -= 1
+    prime = _prime_counts(_closed_walks(g, w, quot, n_max), quot)
+    counts = dict(zip(quot.all_class_keys(), map(sum, zip(*(p.tolist() for p in prime)))))
+    for c in _removed_cycles(g, removed, n_max):
+        counts[quot.cycle_class(w, c)] -= 1
     total = sum(counts.values())
     if total <= 0:
         raise EmptySelection("no prime cycles within the probed period")

@@ -32,6 +32,8 @@ BAD_INPUT = (
     "count full2 --T 5 --delta 9 --rho 0.5 --alpha 0",
     "equidist full2 --T 10 --delta 2 --rho 0.5 --alpha 0 --obs junk",
     "chebotarev full2 --mod 0 --n 5",
+    "chebotarev full2 --mod 2 --n 0",
+    "chebotarev full2 --mod 2 --n -3",
     "hull full2 --n 0",
     "count bench3 --T 10 --delta 1 --rho 0.5 --alpha 0",
     "predict bench3 --T 10 --delta 1 --rho 0.5 --alpha 0",
@@ -192,6 +194,12 @@ class TestMargulis:
         assert code == 0
         _, row = out.strip().splitlines()
         assert row.split(",")[:2] == ["40.0", "56466147790"]
+
+    def test_total_past_int64(self, capsys):
+        code, out, _ = run(capsys, "margulis", "full2", "--T", "70", "--budget", "70")
+        assert code == 0
+        _, row = out.strip().splitlines()
+        assert row.split(",")[:2] == ["70.0", "34235111282896557688"]
 
     def test_default_budget_exits_3(self, capsys):
         code, out, err = run(capsys, "margulis", "full2", "--T", "40")

@@ -3,6 +3,7 @@ quotient densities, and equidistribution."""
 
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -51,6 +52,10 @@ from orbitflow import (
 from conftest import brute_force_prime_cycles, random_strong_graph, random_weights
 
 FULL2 = DirectedGraph(2, ((1, 1), (1, 2), (2, 1), (2, 2)))
+
+
+S3 = list(itertools.permutations(range(3)))
+S3_TABLE = {(p, q): tuple(q[p[i]] for i in range(3)) for p in S3 for q in S3}   # p then q
 
 
 def into2():
@@ -550,18 +555,34 @@ class TestTraceOracle:
 
     def test_totals_past_int64_are_necklace_counts(self, bench3):
         # unit roof on bench3 (the full 3-vertex graph): the prime cycles of
-        # period m are the aperiodic 3-ary necklaces, and 3^40 > 2^63, so
-        # the totals pin exact integers beyond int64
+        # period m are the aperiodic 3-ary necklaces.  The m-step walks
+        # i -> j number 3^(m - 1), past 2^63 from m = 41, so the walk counts
+        # leave int64 there and the totals pin exact integers beyond it
         g = bench3.graph
         classes = {e: (0, 0) for e in g.edges}
         classes.update({(1, 1): (1, 0), (2, 2): (0, 1), (3, 3): (1, 1)})
         w = WeightSystem(b=0, meridians=2, roof={e: 1.0 for e in g.edges}, classes=classes)
-        table = trace_prime_counts_table(g, w, 40)
-        want = necklaces(3, 40)
-        assert 3 ** 40 > 2 ** 63
-        for m in range(1, 41):
+        table = trace_prime_counts_table(g, w, 45)
+        want = necklaces(3, 45)
+        assert 3 ** 39 < 2 ** 63 < 3 ** 40
+        for m in range(1, 46):
             assert sum(table[m].values()) == want[m]
             assert all(type(v) is int and v > 0 for v in table[m].values())
+
+    def test_one_class_count_past_int64(self, bench3):
+        # all-zero classes: a one-element box holding every closed walk, so
+        # its count 3^m passes 2^63 at m = 40 while each walk entry, at
+        # most 3^39, still fits int64
+        g = bench3.graph
+        w = WeightSystem(b=0, meridians=2, roof=dict.fromkeys(g.edges, 1.0),
+                         classes=dict.fromkeys(g.edges, (0, 0)))
+        want = necklaces(3, 45)
+        assert trace_prime_counts_table(g, w, 45) == {m: {(0, 0): want[m]} for m in want}
+        for m in (39, 40, 41, 45):
+            assert trace_prime_count(g, w, m, (0, 0)) == want[m]
+        box, walks, _ = counting._box_walks(g, w, 45)
+        assert box.order == 1
+        assert [row.dtype for row in walks] == [np.dtype(np.int64)] * 39 + [np.dtype(object)] * 6
 
 
 class TestPredict:
@@ -684,6 +705,11 @@ class TestMargulis:
             excl = margulis_total(FULL2, w, removed, T).exact
             assert 0 <= full - excl <= len(removed)
 
+    def test_full2_total_past_int64(self, full2):
+        # the binary necklaces of period <= 70 less the removed fixed point
+        res = margulis_total(full2.graph, full2.weights, full2.removed, 70.0, budget_cap=70)
+        assert res.exact == sum(necklaces(2, 70).values()) - 1 == 34235111282896557688
+
     def test_full2_necklace_total_at_20(self, full2):
         # sum over n <= 20 of the binary Lyndon word counts, minus the
         # removed orbit; full2 has unit roofs, so the walk engine counts it
@@ -728,14 +754,8 @@ class TestFiniteQuotient:
             FiniteQuotient.from_lattice(((1, 2), (2, 4)))
 
     def test_group_classes(self):
-        perms = list(itertools.permutations(range(3)))
-
-        def compose(p, q):
-            return tuple(q[p[i]] for i in range(3))
-
-        table = {(p, q): compose(p, q) for p in perms for q in perms}
-        labels = {e: perms[0] for e in FULL2.edges}
-        quot = FiniteQuotient.from_group(perms, table, labels)
+        labels = {e: S3[0] for e in FULL2.edges}
+        quot = FiniteQuotient.from_group(S3, S3_TABLE, labels)
         sizes = sorted(quot.class_size(k) for k in quot.all_class_keys())
         assert sizes == [1, 2, 3] and quot.order == 6
 
@@ -744,6 +764,57 @@ class TestFiniteQuotient:
         quot = FiniteQuotient.from_group((0, 1), table, {e: 0 for e in FULL2.edges})
         with pytest.raises(InvalidArgument):
             quot.reduce((1,))
+
+
+def _power_bound_dtypes(g, n):
+    """The dtype each period's class counts should have at the int64 limit
+    2^8: object once some max A^j, j <= m, or trace A^m reaches it."""
+    a = np.array(g.adjacency().tolist(), dtype=object)
+    power, wide, out = np.identity(g.vertex_count, dtype=object), False, []
+    for _ in range(n):
+        power = power.dot(a)
+        wide = wide or max(power.flat) >= 2**8
+        out.append(np.dtype(object if wide or np.trace(power) >= 2**8 else np.int64))
+    return out
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), past=st.integers(0, 2),
+       group=st.booleans())
+def test_walk_engine_switches_dtype_exactly(seed, k, past, group):
+    """With the int64 limit lowered to 2^8, counted up to `past` periods
+    after the first count that may reach it: int64, the switch and Python
+    ints all run, and the counts per period and class still equal the
+    brute-force enumeration's, over a lattice and over S3."""
+    rng = np.random.default_rng(seed)
+    g = random_strong_graph(rng, k, ensure_aperiodic=True)   # so the counts grow
+    n = _power_bound_dtypes(g, 40).index(np.dtype(object)) + 1 + past
+    assume(k**n <= 20_000)  # keeps the brute force small
+    w = random_weights(rng, g, 2, unit_roof=True, value_range=1)
+    if group:
+        quot = FiniteQuotient.from_group(S3, S3_TABLE, {e: S3[rng.integers(6)] for e in g.edges})
+    else:
+        quot = FiniteQuotient.from_lattice(((2, 1), (0, 3)))
+    brute, by_vector = Counter(), Counter()
+    for word in brute_force_prime_cycles(g, n):
+        c = PrimeCycle(word)
+        brute[len(word), quot.cycle_class(w, c)] += 1
+        by_vector[len(word), birkhoff(c, w).class_vector] += 1
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # classes no short cycle reaches
+        patch.setattr(counting, "_INT64_LIMIT", 2.0**8)
+        walks = counting._closed_walks(g, w, quot, n)
+        prime = counting._prime_counts(walks, quot)
+        table = trace_prime_counts_table(g, w, n)
+        res = chebotarev_distribution(g, w, (), quot, n)
+    assert [row.dtype for row in walks] == _power_bound_dtypes(g, n)
+    keys = quot.all_class_keys()
+    got = Counter({(m, key): v for m, row in enumerate(prime, 1)
+                   for key, v in zip(keys, row.tolist()) if v})
+    assert got == brute
+    assert Counter({(m, b): v for m, row in table.items() for b, v in row.items()}) == by_vector
+    assert res.counts == {key: sum(brute[m, key] for m in range(1, n + 1)) for key in keys}
+    assert all(type(v) is int for v in [*res.counts.values(), *got.values()])
 
 
 class TestChebotarev:
@@ -811,19 +882,13 @@ class TestChebotarev:
         assert sum(want.values()) == res.total
 
     def test_matches_enumeration_group(self):
-        perms = list(itertools.permutations(range(3)))
-
-        def compose(p, q):
-            return tuple(q[p[i]] for i in range(3))
-
-        table = {(p, q): compose(p, q) for p in perms for q in perms}
         labels = {
             (1, 1): (0, 1, 2),
             (1, 2): (1, 2, 0),   # 3-cycle
             (2, 1): (1, 0, 2),   # transposition
             (2, 2): (0, 2, 1),
         }
-        quot = FiniteQuotient.from_group(perms, table, labels)
+        quot = FiniteQuotient.from_group(S3, S3_TABLE, labels)
         res = chebotarev_distribution(FULL2, into2(), (), quot, 8)
         brute = Counter()
         for c in enumerate_prime_cycles(FULL2, 8):
@@ -851,6 +916,40 @@ class TestChebotarev:
         without = chebotarev_distribution(FULL2, w, (), quot, 4)
         assert without.counts[(1,)] - with_rem.counts[(1,)] == 1
         assert without.counts[(0,)] == with_rem.counts[(0,)]
+
+    def test_removed_cycles_drop_once_and_only_if_cycles_of_g(self, goldenmean):
+        # like the scan and margulis_total: a cycle listed twice drops once,
+        # and (2,), whose loop is not an edge of goldenmean, drops nothing
+        g, w = goldenmean.graph, goldenmean.weights
+        quot = FiniteQuotient.from_modulus(2, 1)
+        kept = chebotarev_distribution(g, w, (), quot, 6)
+        twice = (PrimeCycle((1,)),) * 2
+        res = chebotarev_distribution(g, w, twice, quot, 6)
+        assert res.total == kept.total - 1 == margulis_total(g, w, twice, 6.0).exact == 7
+        absent = (PrimeCycle((2,)), PrimeCycle((1, 1, 2, 2)))
+        assert chebotarev_distribution(g, w, absent, quot, 6).counts == kept.counts
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_period_bound_rejected(self, n):
+        with pytest.raises(InvalidArgument, match=f"^period bound must be >= 1, got {n}$"):
+            chebotarev_distribution(FULL2, into2(), (), FiniteQuotient.from_modulus(2, 1), n)
+
+
+def test_counts_are_python_ints_on_both_sides_of_int64(bench3, full2):
+    g = bench3.graph
+    zero = WeightSystem(b=0, meridians=2, roof=dict.fromkeys(g.edges, 1.0),
+                        classes=dict.fromkeys(g.edges, (0, 0)))
+    values = [v for row in trace_prime_counts_table(g, zero, 45).values() for v in row.values()]
+    values += [trace_prime_count(g, zero, n, (0, 0)) for n in (5, 45)]
+    quot = FiniteQuotient.from_modulus(2, 1)
+    for n in (6, 70):
+        res = chebotarev_distribution(full2.graph, full2.weights, full2.removed, quot, n)
+        values += [*res.counts.values(), res.total]
+    for T in (20.0, 70.0):
+        values.append(margulis_total(full2.graph, full2.weights, full2.removed, T,
+                                     budget_cap=70).exact)
+    assert min(values) < 2**63 < max(values)
+    assert all(type(v) is int for v in values)
 
 
 class TestEquidistribution:
