@@ -23,12 +23,13 @@ T * rho and the class offset.
 One graded walk-count engine checks the class counts independently of
 the scan.  It counts closed walks by the element of a finite group
 (numbered 0..N-1) that their ordered edge labels multiply to, in a
-(k, k, N) array: int64 while the entries and trace of A^m stay under 2^62,
-Python ints from then on.  It inverts them per conjugacy class to prime-cycle
-counts by one Mobius recursion, and serves the unit-roof oracle, on a box
-Z^d / diag(S) that no class of a walk of at most n steps wraps around,
-and the density check over a ``FiniteQuotient`` (integer lattice or
-explicit finite group), whose class frequencies approach |C| / |G|.
+(k, k, N) array W[j, i, x], end vertex first so that a step gathers from one
+contiguous block per end vertex: int64 while the entries and trace of A^m
+stay under 2^62, Python ints from then on.  It inverts them per conjugacy
+class to prime-cycle counts by one Mobius recursion, and serves the unit-roof
+oracle, on a box Z^d / diag(S) that no class of a walk of at most n steps
+wraps around, and the density check over a ``FiniteQuotient`` (integer
+lattice or explicit finite group), whose class frequencies approach |C| / |G|.
 """
 
 from __future__ import annotations
@@ -294,11 +295,12 @@ def _closed_walks(g: DirectedGraph, w: WeightSystem, quot: "FiniteQuotient", n_m
     """walks[m - 1][c] = closed m-step walks whose ordered edge-label product
     lies in class c of quot, m = 1..n_max: int64 under the bound, then Python ints.
 
-    W[i, j, x] counts the walks i -> j with product x; a step along the
-    edge (t, h) labelled a gathers W[:, t, x a^-1] into W[:, h, x].  W[i, j]
-    sums to (A^m)_ij, so max A^m bounds W and trace A^m each class sum; both
-    are at most k r^m for the largest out-degree r, which spares the powers
-    while k r^n_max is under the bound.
+    W[j, i, x] counts the walks i -> j with product x.  End-major, the walks
+    ending at t are one contiguous (k, N) block W[t], so the step along the
+    edge (t, h) labelled a takes W[t] at x a^-1 into W[h, :, x], several times
+    faster than a fancy index into the strided W[:, t].  W[j, i] sums to (A^m)_ij:
+    max A^m bounds W and trace A^m each class sum, both at most k r^m for the
+    largest out-degree r, so no power is taken while k r^n_max is under 2^62.
     """
     every, diag = np.arange(quot.order), np.arange(g.vertex_count)
     steps = [(t - 1, h - 1, np.argsort(quot._mul(every, quot._edge_element(w, (t, h)))))
@@ -313,7 +315,7 @@ def _closed_walks(g: DirectedGraph, w: WeightSystem, quot: "FiniteQuotient", n_m
             W = W.astype(object)
         step = np.zeros_like(W)
         for t, h, inverse in steps:
-            step[:, h] += W[:, t, inverse]
+            step[h] += W[t].take(inverse, axis=1)
         W = step
         closed = W[diag, diag]
         if wide and np.trace(paths) >= _INT64_LIMIT:   # W may still be int64
@@ -348,7 +350,9 @@ def _box_walks(g: DirectedGraph, w: WeightSystem, n_max: int):
     """The engine on the box Z^d / diag(S), S_i = n_max (max(0, max c_i) -
     min(0, min c_i)) + 1, which holds every class of a walk of at most
     n_max steps once: the box, its walk counts, and the class vector of
-    each box element.  Requires roof identically 1."""
+    each box element.  Requires roof identically 1 and n_max >= 1."""
+    if n_max < 1:
+        raise InvalidArgument(f"period bound must be >= 1, got {n_max}")
     check_weights_cover(g, w)
     if any(r != 1.0 for r in w.roof.values()):
         raise RoofNotUnit("this oracle requires roof identically 1")
@@ -371,8 +375,6 @@ def trace_prime_counts_table(g: DirectedGraph, w: WeightSystem, n_max: int):
 def trace_prime_count(g: DirectedGraph, w: WeightSystem, n: int, beta) -> int:
     """Prime cycles of period n with class beta, via Mobius inversion over
     the simultaneous divisors of (n, beta).  Requires roof identically 1."""
-    if n < 1:
-        raise InvalidArgument(f"period must be >= 1, got {n}")
     _, walks, vectors = _box_walks(g, w, n)
     beta = tuple(int(x) for x in beta)
     total = 0
@@ -588,7 +590,15 @@ class FiniteQuotient:
         n = len(elems)
         _check_order(n)
         index = {x: i for i, x in enumerate(elems)}
-        mult = np.array([index[table[(a, b)]] for a in elems for b in elems]).reshape(n, n)
+        try:
+            mult = np.array([[index.get(table[a, b], -1) for b in elems] for a in elems])
+        except KeyError as exc:
+            raise InvalidArgument(f"multiplication table has no entry {exc}") from None
+        for a, b in np.argwhere(mult < 0)[:1]:   # the first product outside elems, if any
+            raise InvalidArgument(f"table entry {(elems[a], elems[b])!r} is outside the elements")
+        for e, v in edge_labels.items():
+            if v not in index:
+                raise InvalidArgument(f"the label {v!r} on edge {e} is outside the elements")
         every = np.arange(n)
         unit = np.flatnonzero((mult == every).all(axis=1) & (mult.T == every).all(axis=1))
         if len(unit) == 0:

@@ -3,6 +3,7 @@ quotient densities, and equidistribution."""
 
 import itertools
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -569,6 +570,34 @@ class TestTraceOracle:
             assert sum(table[m].values()) == want[m]
             assert all(type(v) is int and v > 0 for v in table[m].values())
 
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_nonpositive_period_bound_rejected(self, n):
+        with pytest.raises(InvalidArgument, match=f"^period bound must be >= 1, got {n}$"):
+            trace_prime_counts_table(FULL2, into2(), n)
+
+    def test_class_walks_box_past_int64_against_the_necklace_formula(self, bench3):
+        # the trace table as the class_walks benchmark builds it: loop
+        # classes (1,0), (0,1), (1,1) on unit-roof bench3, a 41 x 41 box to
+        # n = 40, where 3^40 closed walks per period pass 2^63.  Each row
+        # sums to the aperiodic 3-ary necklaces (1/n) sum_{d | n} mu(n/d) 3^d
+        def mu(n):
+            factors = [p for p in range(2, n + 1) if n % p == 0
+                       and all(p % q for q in range(2, p))]
+            square_free = all(n % (p * p) for p in factors)
+            return (-1) ** len(factors) if square_free else 0
+
+        g = bench3.graph
+        classes = dict.fromkeys(g.edges, (0, 0))
+        classes.update({(1, 1): (1, 0), (2, 2): (0, 1), (3, 3): (1, 1)})
+        w = WeightSystem(b=0, meridians=2, roof=dict.fromkeys(g.edges, 1.0), classes=classes)
+        table = trace_prime_counts_table(g, w, 40)
+        assert 3 ** 40 > 2 ** 63 and sorted(table) == list(range(1, 41))
+        for n, row in table.items():
+            want = sum(mu(n // d) * 3 ** d for d in range(1, n + 1) if n % d == 0) // n
+            assert sum(row.values()) == want
+            assert all(type(v) is int for v in row.values())
+            assert all(0 <= x <= 40 for beta in row for x in beta)
+
     def test_one_class_count_past_int64(self, bench3):
         # all-zero classes: a one-element box holding every closed walk, so
         # its count 3^m passes 2^63 at m = 40 while each walk entry, at
@@ -758,6 +787,19 @@ class TestFiniteQuotient:
         quot = FiniteQuotient.from_group(S3, S3_TABLE, labels)
         sizes = sorted(quot.class_size(k) for k in quot.all_class_keys())
         assert sizes == [1, 2, 3] and quot.order == 6
+
+    @pytest.mark.parametrize("case", ["label outside", "product outside", "missing pair"])
+    def test_group_misuse_names_the_label_or_pair(self, case):
+        table, label, pair = dict(S3_TABLE), S3[0], (S3[3], S3[4])
+        if case == "label outside":
+            label, want = 7, "the label 7 on edge (1, 1) is outside the elements"
+        elif case == "product outside":
+            table[pair], want = "x", f"table entry {pair!r} is outside the elements"
+        else:
+            del table[pair]
+            want = f"multiplication table has no entry {pair!r}"
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(want)}$"):
+            FiniteQuotient.from_group(S3, table, dict.fromkeys(FULL2.edges, label))
 
     def test_group_has_no_lattice_reduce(self):
         table = {(a, b): (a + b) % 2 for a in (0, 1) for b in (0, 1)}
