@@ -590,14 +590,19 @@ class FiniteQuotient:
         n = len(elems)
         _check_order(n)
         index = {x: i for i, x in enumerate(elems)}
+        def find(x):  # the index of x, -1 for a value outside elems (unhashable too)
+            try:
+                return index.get(x, -1)
+            except TypeError:
+                return -1
         try:
-            mult = np.array([[index.get(table[a, b], -1) for b in elems] for a in elems])
+            mult = np.array([[find(table[a, b]) for b in elems] for a in elems])
         except KeyError as exc:
             raise InvalidArgument(f"multiplication table has no entry {exc}") from None
         for a, b in np.argwhere(mult < 0)[:1]:   # the first product outside elems, if any
             raise InvalidArgument(f"table entry {(elems[a], elems[b])!r} is outside the elements")
         for e, v in edge_labels.items():
-            if v not in index:
+            if find(v) < 0:
                 raise InvalidArgument(f"the label {v!r} on edge {e} is outside the elements")
         every = np.arange(n)
         unit = np.flatnonzero((mult == every).all(axis=1) & (mult.T == every).all(axis=1))

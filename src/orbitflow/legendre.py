@@ -25,7 +25,7 @@ from .errors import (DegenerateModel, DimensionMismatch, EmptySelection, NonConv
                      OutsideCone, SingularHessian)
 from .graphs import DirectedGraph, require_valid
 from .weights import WeightSystem, cycle_sums
-from .thermo import edge_arrays, pressure_jet
+from .thermo import edge_arrays, pair_jet, pressure_jet
 
 
 class Membership(enum.Enum):
@@ -58,7 +58,7 @@ class DirectionData:
 
 
 _COLLINEARITY_TOL = 1e-12
-_TOL = 1e-8            # solve_u: sup-norm of grad e at the solution
+_TOL = 1e-8            # solve_u: sup-norm of grad e at the solution, and 1e-10 of its Newton step
 _MAX_ITER = 200        # solve_u: Newton steps before giving up
 _DIVERGE_NORM = 1e3    # solve_u: |u| beyond which rho is outside
 _FLAT_TOL = 1e-13      # solve_u: predicted decrease below e's resolution
@@ -145,13 +145,17 @@ def hull_contains(points, rho, tol: float = 1e-9) -> bool:
 def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
     """Dual parameter u(rho) by Newton descent on e(u) = pressure - <u, rho>.
 
-    Starts from u = 0 with Armijo backtracking; each trial point is one
-    ``pressure_jet`` solve, which also gives the next Newton step.  Once the
-    predicted decrease is below e's float resolution, a step that lowers
-    the gradient residual is accepted.  Raises OutsideCone when |u| passes
-    _DIVERGE_NORM, a Newton step is not finite or the line search stalls
-    with a gradient bounded away from zero, and DegenerateModel when the
-    pressure Hessian is singular at the origin (empty interior).
+    Starts from u = 0 with Armijo backtracking.  A trial point u + t step
+    takes one Perron pair at its second-order predicted pressure, and more
+    only while |log lambda| > 1e-6; its corrected pressure gives e (see
+    ``pair_jet``).  Once the predicted decrease is below e's float
+    resolution, a step that lowers the gradient residual is accepted.  The
+    solve stops at a residual <= _TOL and a Newton step <= 1e-10 (or a
+    residual at float noise), the pressure polished to |log lambda| <= 1e-13.
+    Raises OutsideCone when |u| passes _DIVERGE_NORM, a Newton step is not
+    finite or the line search stalls with a gradient bounded away from
+    zero, and DegenerateModel when the pressure Hessian is singular at the
+    origin (empty interior).
     """
     rho = np.asarray(rho, dtype=float).reshape(-1)
     d = w.dimension
@@ -164,9 +168,11 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
     eigs = np.linalg.eigvalsh(jet.hessian)
     if eigs.min() <= 1e-10 * max(1.0, eigs.max()):
         raise DegenerateModel("pressure Hessian singular at 0; direction set has empty interior")
-    e_val = jet.pressure  # <u, rho> = 0 at the start
-    grad = jet.gradient - rho
+    noise = 16 * np.finfo(float).eps * max(1.0, float(np.abs(rho).max()))
     for _ in range(_MAX_ITER):
+        if abs(jet.log_lambda) > 1e-13 and float(np.abs(jet.gradient - rho).max()) <= _TOL:
+            jet = pressure_jet(r, c, u)  # polish the pressure
+        e_val, grad = jet.pressure - float(u @ rho), jet.gradient - rho
         residual = float(np.abs(grad).max())
         if residual <= _TOL:
             # a genuine interior minimum has a nondegenerate Hessian; a
@@ -181,8 +187,9 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
                 hess_h = -np.linalg.inv(jet.hessian)
             except np.linalg.LinAlgError as exc:
                 raise SingularHessian(str(exc)) from exc
-            return DirectionData(tuple(map(float, rho)), tuple(map(float, u)), float(e_val),
-                                 float(jet.pressure), hess_h)
+            if float(np.abs(hess_h @ grad).max()) <= 1e-10 or residual <= noise:
+                return DirectionData(tuple(map(float, rho)), tuple(map(float, u)),
+                                     float(e_val), float(jet.pressure), hess_h)
         try:
             step = np.linalg.solve(jet.hessian, -grad)
         except np.linalg.LinAlgError:
@@ -194,11 +201,14 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
             step = np.linalg.solve(jet.hessian + 1e-10 * np.eye(d), -grad)
             slope = float(grad @ step)
         flat = -slope <= _FLAT_TOL * max(1.0, abs(e_val))
+        dp, d2p = float(jet.gradient @ step), float(step @ jet.hessian @ step)
         t = 1.0
         while t >= 1e-12:
             u_new = u + t * step
             try:
-                jet_new = pressure_jet(r, c, u_new)
+                jet_new = pair_jet(r, c, u_new, jet.pressure + t * dp + 0.5 * t * t * d2p)
+                while abs(jet_new.log_lambda) > 1e-6:
+                    jet_new = pair_jet(r, c, u_new, jet_new.pressure)
             except NonConvergence:
                 # transfer matrix under/overflowed: step far too long
                 t *= 0.5
@@ -212,7 +222,7 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
             t *= 0.5
         else:
             raise OutsideCone(f"line search stalled with gradient norm {residual:.3g}")
-        u, jet, e_val, grad = u_new, jet_new, e_new, grad_new
+        u, jet = u_new, jet_new
         if float(np.linalg.norm(u)) > _DIVERGE_NORM:
             raise OutsideCone(f"dual parameter diverged (|u| > {_DIVERGE_NORM:g}); "
                               "direction outside the attainable set")

@@ -6,14 +6,16 @@ of the vertex shift is the log of the Perron eigenvalue of the weighted
 adjacency matrix M(u, s), and the pressure of the suspension flow at u is
 the unique root s* of log lambda(M(u, s)) = 0 (the roof is strictly
 positive, so s -> log lambda is strictly decreasing).  The equilibrium
-measure is the Markov chain built from the Perron eigendata at s*; one
-root solve gives the pressure, its gradient and its closed-form Hessian.
+measure is the Markov chain built from the Perron eigendata at s*.  One
+Perron pair at any s gives the chain, log lambda, the gradient and the
+closed-form Hessian, and the pressure corrected by one Newton step in s:
+a root solve is Newton over such pairs, and a nearby u needs about one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,94 +166,86 @@ def shift_pressure(g: DirectedGraph, w: WeightSystem, u, s: float) -> float:
     return math.log(perron(transfer_matrix(g, w, u, s)).eigenvalue)
 
 
-def _flow_root(r: np.ndarray, c: np.ndarray, u: np.ndarray):
-    """Root s* of log lambda(M(u, s)) = 0 with the eigen-chain (P, pi) there.
-
-    Safeguarded Newton inside a sign-change bracket; the derivative of log
-    lambda in s is minus the expected roof per step under the eigen-chain.
-    The pattern R > 0 is checked for aperiodicity once (a periodic graph
-    raises NotPrimitive); an edge entry of M that under/overflows to 0 or
-    inf is a numerical refusal (NonConvergence).
-    """
-    edge = r > 0
-    if not is_primitive_pattern(edge):
-        raise NotPrimitive("graph is periodic (cycle lengths have gcd > 1)")
-    cu = c @ u
-
-    def eval_at(s):
-        m = _transfer(r, cu, s)
-        on_edges = m[edge]
-        if not (np.isfinite(on_edges).all() and (on_edges > 0.0).all()):
-            raise NonConvergence(
-                f"transfer matrix entries under/overflow at s = {s:.6g}"
-            )
-        pd = _perron_data(m)
-        p = m * pd.right[None, :] / (pd.eigenvalue * pd.right[:, None])
-        pi = pd.left * pd.right  # l . r = 1 by normalization
-        slope = -float((pi[:, None] * p * r).sum())
-        return math.log(pd.eigenvalue), slope, p, pi
-
-    # Row-sum bounds give the bracket in closed form: at lo every row has
-    # a term >= 1, so lambda >= 1; at hi every term is <= 1/k, so
-    # lambda <= 1.
-    roof = np.where(edge, r, 1.0)
-    lo = float(np.where(edge, cu / roof, -np.inf).max(axis=1).min())
-    hi = float(np.where(edge, (cu + math.log(len(r))) / roof, -np.inf).max())
-    s = 0.5 * (lo + hi)
-    for _ in range(200):
-        f, slope, p, pi = eval_at(s)
-        if f > 0.0:
-            lo = s
-        else:
-            hi = s
-        if abs(f) <= 1e-14 * max(1.0, abs(slope)):
-            return s, p, pi
-        s_new = s - f / slope
-        if not (lo < s_new < hi):
-            s_new = 0.5 * (lo + hi)
-        if abs(s_new - s) <= 1e-14 * max(1.0, abs(s)):
-            return s_new, *eval_at(s_new)[2:]
-        s = s_new
-    raise NonConvergence("pressure root iteration did not converge")
-
-
 @dataclass(frozen=True)
 class PressureJet:
     """Flow pressure at u with its gradient and Hessian, and the eigen-chain
-    (stationary vector, transition matrix) of the equilibrium state."""
+    (stationary vector, transition matrix) of the equilibrium state, from
+    one Perron pair at s: log_lambda = log lambda(M(u, s)), mean_roof = E_mu[r]."""
 
     pressure: float
     gradient: np.ndarray
     hessian: np.ndarray
     stationary: np.ndarray
     transition: np.ndarray
+    log_lambda: float
+    mean_roof: float
+
+
+def pair_jet(r: np.ndarray, c: np.ndarray, u: np.ndarray, s: float) -> PressureJet:
+    """The jet from one Perron pair of M(u, s), at any s, with the corrected
+    pressure s + log_lambda / E_mu[r], off the root by O(log_lambda^2).
+
+    With mu the edge measure of the eigen-chain, the gradient is E_mu[c] /
+    E_mu[r].  The Hessian is Sigma(g) / E_mu[r] for the centred edge
+    function g = c - grad * r, where Sigma is its asymptotic covariance
+    along the chain: E_mu[g g^T] + E_mu[g (Z h)(head)^T] + its transpose,
+    with Z = (I - P + 1 pi)^-1 and h(a) = sum_b P[a,b] g(a,b) (Parry &
+    Pollicott, Asterisque 187-188), symmetrised exactly.  An edge entry of
+    M that under/overflows, or an eigen-chain that is not finite and
+    positive, raises NonConvergence.
+    """
+    with np.errstate(all="ignore"):  # lost finiteness or positivity refuses
+        m = _transfer(r, c @ u, s)
+        on_edges = m[r > 0]
+        if not (np.isfinite(on_edges).all() and (on_edges > 0.0).all()):
+            raise NonConvergence(f"transfer matrix entries under/overflow at s = {s:.6g}")
+        pd = _perron_data(m)
+        p = m * pd.right[None, :] / (pd.eigenvalue * pd.right[:, None])
+        pi = pd.left * pd.right  # l . r = 1 by normalization
+        if not (np.isfinite(p).all() and (p[r > 0] > 0.0).all() and (pi > 0.0).all()):
+            raise NonConvergence("eigen-chain lost finiteness or positivity")
+        mu = pi[:, None] * p
+        mean_roof = float((mu * r).sum())
+        grad = np.einsum("ab,abd->d", mu, c) / mean_roof
+        g = c - grad * r[:, :, None]  # 0 off the edges, where c and r are
+        zh = np.linalg.solve(np.eye(len(pi)) - p + pi[None, :],
+                             np.einsum("ab,abd->ad", p, g))
+        cross = np.einsum("ab,abi,bj->ij", mu, g, zh)
+        hess = (np.einsum("ab,abi,abj->ij", mu, g, g) + cross + cross.T) / mean_roof
+    log_lam = math.log(pd.eigenvalue)
+    return PressureJet(s + log_lam / mean_roof, grad, 0.5 * (hess + hess.T), pi, p,
+                       log_lam, mean_roof)
 
 
 def pressure_jet(r: np.ndarray, c: np.ndarray, u) -> PressureJet:
-    """Pressure, gradient and Hessian at u from one flow-root solve on the
-    edge arrays of ``edge_arrays``.
-
-    With mu the edge measure of the eigen-chain, the gradient is
-    E_mu[c] / E_mu[r].  The Hessian is Sigma(g) / E_mu[r] for the centred
-    edge function g = c - grad * r, where Sigma is its asymptotic
-    covariance along the chain: E_mu[g g^T] + E_mu[g (Z h)(head)^T] + its
-    transpose, with Z = (I - P + 1 pi)^-1 and h(a) = sum_b P[a,b] g(a,b)
-    (Parry & Pollicott, Asterisque 187-188).  It is symmetrised exactly.
+    """The jet at the root s* of log lambda(M(u, s)) = 0 on the edge arrays
+    of ``edge_arrays``: Newton in s, one ``pair_jet`` a step, from the
+    midpoint of a closed-form bracket whose bisection guards every step.
+    The pressure is s* itself: at the root the correction is float noise.
+    The pattern R > 0 is checked for aperiodicity (a periodic graph raises
+    NotPrimitive).
     """
     u = _as_u(c, u)
-    with np.errstate(all="ignore"):  # lost finiteness or positivity refuses
-        s, p, pi = _flow_root(r, c, u)
-    if not (np.isfinite(p).all() and (p[r > 0] > 0.0).all() and (pi > 0.0).all()):
-        raise NonConvergence("eigen-chain lost finiteness or positivity")
-    mu = pi[:, None] * p
-    mean_roof = float((mu * r).sum())
-    grad = np.einsum("ab,abd->d", mu, c) / mean_roof
-    g = c - grad * r[:, :, None]  # 0 off the edges, where c and r are
-    zh = np.linalg.solve(np.eye(len(pi)) - p + pi[None, :],
-                         np.einsum("ab,abd->ad", p, g))
-    cross = np.einsum("ab,abi,bj->ij", mu, g, zh)
-    hess = (np.einsum("ab,abi,abj->ij", mu, g, g) + cross + cross.T) / mean_roof
-    return PressureJet(s, grad, 0.5 * (hess + hess.T), pi, p)
+    edge = r > 0
+    if not is_primitive_pattern(edge):
+        raise NotPrimitive("graph is periodic (cycle lengths have gcd > 1)")
+    # Row-sum bounds give the bracket in closed form: at lo every row has
+    # a term >= 1, so lambda >= 1; at hi every term is <= 1/k, so
+    # lambda <= 1.
+    cu, roof = c @ u, np.where(edge, r, 1.0)
+    lo = float(np.where(edge, cu / roof, -np.inf).max(axis=1).min())
+    hi = float(np.where(edge, (cu + math.log(len(r))) / roof, -np.inf).max())
+    s = 0.5 * (lo + hi)
+    for _ in range(200):
+        jet = pair_jet(r, c, u, s)
+        lo, hi = (s, hi) if jet.log_lambda > 0.0 else (lo, s)
+        if abs(jet.log_lambda) <= 1e-14 * max(1.0, jet.mean_roof):
+            return replace(jet, pressure=s)
+        s_new = jet.pressure if lo < jet.pressure < hi else 0.5 * (lo + hi)
+        if abs(s_new - s) <= 1e-14 * max(1.0, abs(s)):
+            return replace(pair_jet(r, c, u, s_new), pressure=s_new)
+        s = s_new
+    raise NonConvergence("pressure root iteration did not converge")
 
 
 def flow_pressure(g: DirectedGraph, w: WeightSystem, u) -> float:

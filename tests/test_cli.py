@@ -112,6 +112,17 @@ class TestEntropy:
         assert float(fields[2]) == pytest.approx(math.log(2), abs=1e-9)
         assert float(fields[3]) == pytest.approx(-4.0, abs=1e-4)
 
+    def test_closed_forms_off_the_symmetric_point(self, capsys):
+        # full2 at rho: u = log(rho / (1 - rho)), the binary entropy, and
+        # det = -1 / (rho (1 - rho)), each to float accuracy
+        code, out, _ = run(capsys, "entropy", "full2", "--rho", "0.3")
+        assert code == 0
+        fields = out.strip().splitlines()[1].split(",")
+        assert float(fields[1]) == pytest.approx(math.log(3 / 7), abs=1e-12)
+        assert float(fields[2]) == pytest.approx(-0.3 * math.log(0.3) - 0.7 * math.log(0.7),
+                                                 abs=1e-12)
+        assert float(fields[3]) == pytest.approx(-1 / (0.3 * 0.7), abs=1e-12)
+
     def test_outside_exits_3(self, capsys):
         code, _, err = run(capsys, "entropy", "full2", "--rho", "1.7")
         assert code == 3 and "error" in err

@@ -788,13 +788,18 @@ class TestFiniteQuotient:
         sizes = sorted(quot.class_size(k) for k in quot.all_class_keys())
         assert sizes == [1, 2, 3] and quot.order == 6
 
-    @pytest.mark.parametrize("case", ["label outside", "product outside", "missing pair"])
+    @pytest.mark.parametrize("case", ["label outside", "product outside", "missing pair",
+                                      "unhashable label", "unhashable product"])
     def test_group_misuse_names_the_label_or_pair(self, case):
         table, label, pair = dict(S3_TABLE), S3[0], (S3[3], S3[4])
         if case == "label outside":
             label, want = 7, "the label 7 on edge (1, 1) is outside the elements"
+        elif case == "unhashable label":
+            label, want = [0], "the label [0] on edge (1, 1) is outside the elements"
         elif case == "product outside":
             table[pair], want = "x", f"table entry {pair!r} is outside the elements"
+        elif case == "unhashable product":
+            table[pair], want = [0], f"table entry {pair!r} is outside the elements"
         else:
             del table[pair]
             want = f"multiplication table has no entry {pair!r}"

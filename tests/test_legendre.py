@@ -29,6 +29,7 @@ from orbitflow import (
     pressure_gradient,
     pressure_hessian,
     solve_u,
+    thermo,
 )
 
 from conftest import random_strong_graph, random_weights
@@ -156,6 +157,44 @@ class TestSolveU:
         ):
             dd = solve_u(g, w, rho)
             assert np.abs(np.array(dd.u) - np.array(u)).max() <= 1e-6
+
+    def test_u_recovered_where_the_hessian_is_nearly_singular(self):
+        # lambda_min(Hess P(u)) = 3.5e-5 here, so a stop on the gradient
+        # residual alone (1e-8) leaves u off by up to residual / lambda_min;
+        # the Newton-step test pins it
+        rng = np.random.default_rng(1277069130)
+        g = random_strong_graph(rng, 3, ensure_aperiodic=True)
+        w = random_weights(rng, g, 2)
+        u = np.array([-0.9854186, 0.80096871])
+        assert np.linalg.eigvalsh(pressure_hessian(g, w, u)).min() < 1e-4
+        dd = solve_u(g, w, pressure_gradient(g, w, u))
+        assert np.abs(np.array(dd.u) - u).max() <= 1e-8
+
+    def test_stops_once_the_gradient_is_float_noise(self):
+        # lambda_min(Hess P(u)) = 2e-7: the residual reaches float noise
+        # while noise / lambda_min keeps the Newton step above 1e-10
+        rng = np.random.default_rng(2067327111)
+        g = random_strong_graph(rng, 3, ensure_aperiodic=True)
+        w = random_weights(rng, g, 2)
+        u = np.array([0.4221629483849616, 0.8317028109445541])
+        assert np.linalg.eigvalsh(pressure_hessian(g, w, u)).min() < 1e-6
+        dd = solve_u(g, w, pressure_gradient(g, w, u))
+        assert np.abs(np.array(dd.u) - u).max() <= 1e-8
+
+    def test_perron_pair_budget(self, monkeypatch, bench3):
+        # a trial point costs one Perron pair at its predicted pressure, not
+        # a root solve: 17.8 pairs a solve over these directions, 29.6 when
+        # every trial point ran a bracketed root solve
+        g, w = bench3.graph, bench3.weights
+        rhos = [pressure_gradient(g, w, u) for u in ([0.0, 0.0], [0.3, -0.2], [-0.5, 0.4])]
+        rhos += [(0.14356098992698427, 0.09085056902525078),
+                 (1.2721180194170565, 0.0019624854338949355)]
+        pairs = []
+        perron_data = thermo._perron_data
+        monkeypatch.setattr(thermo, "_perron_data", lambda m: pairs.append(1) or perron_data(m))
+        for rho in rhos:
+            solve_u(g, w, rho)
+        assert len(pairs) / len(rhos) < 22.0
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4),
