@@ -1,14 +1,11 @@
 """Periodic-orbit counting by length window and class.
 
-Exact counts and observable averages are numpy reductions over one
-canonical-cycle scan (``graphs.scan_cycles``), pruned by the length bound;
-the admissible symbolic depth floor(T / r_min) is capped, and counts
-beyond the cap are refused rather than estimated.  The scan is memoised:
-one scan per key (the graph, the roof and class of every edge, the length
-bound, the depth and the removed words), reused by every counter that
-asks for the same key, its arrays read-only, and at most one scan held.
-Likewise the equilibrium state that ``equidistribution_test`` integrates
-against is solved once per (graph, roof and class of every edge, u).
+Exact counts and observable averages are numpy reductions over the
+canonical-cycle scan (``graphs.scan_cycles``, the one memoised scan entry),
+pruned by the length bound; the admissible symbolic depth floor(T / r_min)
+is capped, and counts beyond the cap are refused rather than estimated.
+The equilibrium state that ``equidistribution_test`` integrates against
+is likewise solved once per (graph, roof and class of every edge, u).
 When every roof is one integer-valued constant (``full2``,
 ``goldenmean``) the total of ``margulis_total`` comes from the walk engine
 below instead, and equals the scan's: sums of integer-valued floats below
@@ -48,6 +45,7 @@ from .errors import (
     InfiniteQuotient,
     InvalidArgument,
     MissingEdgeValue,
+    NonConvergence,
     RoofNotUnit,
 )
 from .graphs import CycleScan, DirectedGraph, PrimeCycle, require_valid, scan_cycles
@@ -134,36 +132,19 @@ def _depth_cap(w: WeightSystem, max_len: float, budget_cap: int) -> int:
     return max(depth, 1)
 
 
-# the last scan and the last equilibrium measure, as (key, value); replaced whole
-_memo: tuple | None = None
+# the last equilibrium measure, as (key, value); replaced whole
 _measure_memo: tuple | None = None
-
-
-def _content_key(g: DirectedGraph, w: WeightSystem, *rest) -> tuple:
-    """Memo key: content, not id(w), as a WeightSystem can be edited in place."""
-    return g, [(w.roof[e], w.classes[e]) for e in sorted(g.edge_set)], *rest
 
 
 def _scan(
     g: DirectedGraph, w: WeightSystem, max_len: float, removed, budget_cap: int
 ) -> CycleScan:
-    """Prime cycles of length <= max_len, removed ones excluded, with
-    lengths, classes and words in read-only arrays: the memoised scan if
-    the key matches, else a new scan that replaces it."""
-    global _memo
+    """Prime cycles of length <= max_len, removed ones excluded, from the
+    memoised ``scan_cycles`` entry, at the depth the budget allows."""
     check_weights_cover(g, w)
     n_max = _depth_cap(w, max_len, budget_cap)
-    exclude = tuple(c.vertices for c in removed)
-    key = _content_key(g, w, float(max_len), n_max, exclude)
-    if _memo is not None and _memo[0] == key:
-        return _memo[1]
-    _memo = None  # frees the old scan before the new one is built
-    scan = scan_cycles(g, n_max=n_max, edge_length=w.roof, max_len=max_len,
-                       edge_vector=w.classes, exclude=exclude, words=True)
-    for a in vars(scan).values():
-        a.flags.writeable = False
-    _memo = key, scan
-    return scan
+    return scan_cycles(g, w.roof, w.classes, n_max, max_len=max_len,
+                       exclude=tuple(c.vertices for c in removed))
 
 
 def _edge_sums(g: DirectedGraph, words, period, phi: dict) -> np.ndarray:
@@ -245,7 +226,8 @@ def margulis_total(
     the lengths are not all in one coset of eps * Z.  On a spectrum of
     step eps the ratio exact / reference, taken at T in eps * Z, tends to
     h eps / (1 - e^(-h eps)) instead: 2 log 2 for full2 (Parry &
-    Pollicott, Asterisque 187-188, 1990).
+    Pollicott, Asterisque 187-188, 1990).  A reference past the float
+    range raises NonConvergence.
     """
     if not (math.isfinite(T) and T > 0):
         raise InvalidArgument(f"need finite T > 0, got T={T}")
@@ -261,7 +243,10 @@ def margulis_total(
     else:
         count = len(_scan(g, w, T, removed, budget_cap).period)
     h = flow_pressure(g, w, np.zeros(w.dimension))
-    return MargulisCount(count, math.exp(h * T) / (h * T))
+    try:
+        return MargulisCount(count, math.exp(h * T) / (h * T))
+    except OverflowError:
+        raise NonConvergence(f"the reference e^(hT)/(hT) overflows a float at T = {T:g}") from None
 
 
 def _removed_cycles(g: DirectedGraph, removed, n_max: int) -> set:
@@ -397,30 +382,27 @@ def predict_count(
     sqrt|det H_h| / (2 pi)^(d/2) * window factor * exp(-<u, alpha>)
     * exp(entropy * T + <u, T rho - floor(T rho)>) / T^(1 + d/2),
     where the window factor is (1 - e^(-p delta)) / p at p = pressure at
-    u(rho), continuously extended to delta at p = 0.
+    u(rho), continuously extended to delta at p = 0.  A prediction past
+    the float range raises NonConvergence.
     """
     floor = np.subtract(target_class(w, q), q.alpha)
     if tuple(round(x, 12) for x in dd.rho) != tuple(round(float(x), 12) for x in q.rho):
         raise InvalidArgument("q.rho does not match dd.rho")
     d = w.dimension
-    hess = entropy_hessian(dd)
-    det = abs(float(np.linalg.det(hess)))
+    det = abs(float(np.linalg.det(entropy_hessian(dd))))
     p = dd.pressure_at_u
-    if abs(p) > 1e-12:
-        window = (1.0 - math.exp(-p * q.delta)) / p
-    else:
-        window = q.delta
     u = np.asarray(dd.u, dtype=float)
-    rho = np.asarray(q.rho, dtype=float)
-    frac = q.T * rho - floor.astype(float)
+    frac = q.T * np.asarray(q.rho, dtype=float) - floor.astype(float)
     exponent = dd.entropy * q.T + float(u @ frac) - float(u @ np.asarray(q.alpha, dtype=float))
-    return (
-        math.sqrt(det)
-        / (2.0 * math.pi) ** (d / 2.0)
-        * window
-        * math.exp(exponent)
-        / q.T ** (1.0 + d / 2.0)
-    )
+    try:
+        window = (1.0 - math.exp(-p * q.delta)) / p if abs(p) > 1e-12 else q.delta
+        predicted = (math.sqrt(det) / (2.0 * math.pi) ** (d / 2.0) * window
+                     * math.exp(exponent) / q.T ** (1.0 + d / 2.0))
+    except OverflowError:
+        predicted = math.inf
+    if not math.isfinite(predicted):
+        raise NonConvergence(f"the predicted count overflows a float at T = {q.T:g}")
+    return predicted
 
 
 def evaluate_query(
@@ -482,18 +464,18 @@ def jitter_averaged_ratio(
     T: float,
     *,
     removed=(),
-    n_eval: int = 5,
     budget_cap: int = 32,
     table=None,
 ) -> float:
-    """Mean of exact/predicted over n_eval windows at T + j delta / n_eval.
+    """Mean of exact/predicted over the 5 windows at T + j delta / 5,
+    j = 0..4.
 
     Damps the oscillation of a single window; a measurement convention,
     not a change to the counted quantity.  ``table`` may carry a
     precomputed (lengths, classes) pair covering T + delta.
     """
     alpha = tuple(int(x) for x in alpha)
-    ts = [T + j * delta / n_eval for j in range(n_eval)]
+    ts = [T + j * delta / 5 for j in range(5)]
     if table is None:
         table = cycle_table(g, w, max(ts), removed=removed, budget_cap=budget_cap)
     ratios = []
@@ -732,7 +714,8 @@ def equidistribution_test(
     total = 0.0
     for s, length in zip(sums.tolist(), scan.length[sel].tolist()):
         total += s / length
-    key = _content_key(g, w, tuple(map(float, dd.u)))
+    # content, not id(w), as a WeightSystem can be edited in place
+    key = g, [(w.roof[e], w.classes[e]) for e in sorted(g.edge_set)], tuple(map(float, dd.u))
     if _measure_memo is None or _measure_memo[0] != key:
         _measure_memo = key, equilibrium_measure(g, w, dd.u)
     expected = integrate_observable(_measure_memo[1], w, phi_vals)

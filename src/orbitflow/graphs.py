@@ -4,7 +4,10 @@ Vertices are the integers 1..k throughout.  A prime cycle is a primitive
 periodic vertex sequence stored as the lexicographically minimal rotation,
 so every periodic orbit of the edge shift has exactly one representative.
 
-``scan_cycles`` grows words level by level as numpy arrays, by the
+``scan_cycles`` is the package's one cycle scan: counters, observable
+averages, hull points, lattice diagnostics and the checks all reduce its
+arrays, and it keeps the last scan, read-only, for the next caller with
+the same inputs.  It grows words level by level as numpy arrays, by the
 necklace rule of Cattell, Ruskey, Sawada, Serra & Miers (J. Algorithms 37,
 2000): appending x to a word of length t and period p keeps it a canonical
 prefix iff x >= word[t-p], the period staying p on equality and becoming
@@ -16,6 +19,7 @@ rows, so memory stays flat however many cycles a scan yields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -209,52 +213,53 @@ _BLOCK = 4096
 @dataclass(frozen=True, eq=False)
 class CycleScan:
     """One entry per prime cycle found by ``scan_cycles``: ``length`` is
-    the edge sum in word order with the closing edge last, as ``birkhoff``
+    the roof sum in word order with the closing edge last, as ``birkhoff``
     takes it, ``classes`` the n x d class sums, ``words`` the canonical
-    vertex sequences padded with 0; None when not asked for.
+    vertex sequences padded with 0; read-only arrays, held by the memo.
     """
 
     period: np.ndarray
-    length: np.ndarray | None = None
-    classes: np.ndarray | None = None
-    words: np.ndarray | None = None
+    length: np.ndarray
+    classes: np.ndarray
+    words: np.ndarray
 
     def ordered(self) -> CycleScan:
-        """The same cycles in (period, vertex sequence) order; needs words."""
+        """The same cycles in (period, vertex sequence) order, in new arrays."""
         order = np.lexsort([*self.words.T[::-1], self.period])
-        return CycleScan(*(a if a is None else a[order] for a in vars(self).values()))
+        return CycleScan(*(a[order] for a in vars(self).values()))
+
+
+# the last scan, as (key, scan); replaced whole
+_memo: tuple | None = None
 
 
 def scan_cycles(
-    g: DirectedGraph,
-    *,
-    n_max: int,
-    edge_length: dict | None = None,
-    max_len: float | None = None,
-    edge_vector: dict | None = None,
-    exclude=(),
-    words: bool = False,
+    g: DirectedGraph, roof: dict, classes: dict, n_max: int, *,
+    max_len: float = math.inf, exclude=(),
 ) -> CycleScan:
-    """All prime cycles of period <= n_max, as per-cycle arrays.
-
-    Sums ``edge_length`` (the cycle length) and ``edge_vector`` (the
-    class) when given.  With ``max_len`` (requires edge_length), branches
-    that cannot close within the bound are pruned and only cycles of
-    length <= max_len are kept.  Canonical words listed in ``exclude`` are
-    left out.
+    """All prime cycles of period <= n_max and length <= max_len, less the
+    canonical words in ``exclude``: periods, lengths (``roof`` summed),
+    classes (``classes`` summed) and words, pruning branches that cannot
+    close within max_len.  The last scan is kept and returned again while
+    its key matches: the graph, the roof and class of every edge (content,
+    not identity, as weights can be edited in place), n_max, max_len and
+    exclude.
     """
+    global _memo
+    edges = sorted(g.edge_set)
+    exclude = tuple(exclude)
+    key = g, [(roof[e], classes[e]) for e in edges], n_max, float(max_len), exclude
+    if _memo is not None and _memo[0] == key:
+        return _memo[1]
+    _memo = None  # frees the old scan before the new one is built
     require_valid(g)
     if n_max < 1:
         raise InvalidArgument(f"n_max must be >= 1, got {n_max}")
-    if max_len is not None and edge_length is None:
-        raise InvalidArgument("max_len requires edge_length")
-    if edge_vector is not None:
-        top = max(abs(int(x)) for vec in edge_vector.values() for x in vec)
-        if n_max * top >= 2**63:  # a class sum could wrap in int64
-            raise InvalidArgument(f"class entries up to {top} summed over {n_max} "
-                                  f"edges can pass the int64 range")
+    top = max((abs(int(x)) for e in edges for x in classes[e]), default=0)
+    if n_max * top >= 2**63:  # a class sum could wrap in int64
+        raise InvalidArgument(f"class entries up to {top} summed over {n_max} "
+                              f"edges can pass the int64 range")
     k = g.vertex_count
-    edges = sorted(g.edge_set)
     # edge tables indexed by (k + 1) * tail + head
     flat = [(k + 1) * a + b for a, b in edges]
 
@@ -264,16 +269,9 @@ def scan_cycles(
         return out
 
     has_edge = table(dict.fromkeys(edges, True), bool)
-    # the edge sums to carry; the length, when asked for, comes first
-    sums = {
-        name: table(values, dtype)
-        for name, values, dtype in (("length", edge_length, float),
-                                    ("classes", edge_vector, np.int64))
-        if values is not None
-    }
-    tables = list(sums.values())
-    if max_len is not None:
-        roof, r_min = tables[0], min(float(v) for v in edge_length.values())
+    # the edge sums carried along each word: its length, then its class
+    tables = [table(roof), table(classes, np.int64)]
+    lengths, r_min = tables[0], min(float(roof[e]) for e in edges)
     vtype = np.min_scalar_type(k)
     ptype = np.min_scalar_type(n_max)
     # successors of each vertex, padded with 0, which fails x >= word[t-p]
@@ -291,22 +289,20 @@ def scan_cycles(
         base = (k + 1) * w[:, t - 1].astype(np.intp)
         closing = base + w[:, 0]
         close = (p == t) & has_edge.take(closing)
-        if max_len is not None:
-            close &= acc[0] + roof.take(closing) <= max_len
+        close &= acc[0] + lengths.take(closing) <= max_len
         if t in drop:
             close[close] = ~(w[close, None, :t] == np.array(drop[t])).all(axis=2).any(axis=1)
         sel = np.flatnonzero(close)
         e = closing.take(sel)
         found.append([np.full(len(sel), t, dtype=ptype)] + [
             a.take(sel, axis=0) + tab.take(e, axis=0) for a, tab in zip(acc, tables)
-        ] + ([w.take(sel, axis=0)] if words else []))
+        ] + [w.take(sel, axis=0)])
         if t == n_max:
             return None
         wtp = w.ravel().take(np.arange(len(p)) * n_max + (t - p))
         cand = succ.take(w[:, t - 1], axis=0)
         ok = cand >= wtp[:, None]
-        if max_len is not None:
-            ok &= acc[0][:, None] + roof.take(base[:, None] + cand) + r_min <= max_len
+        ok &= acc[0][:, None] + lengths.take(base[:, None] + cand) + r_min <= max_len
         idx = np.flatnonzero(ok)
         rows = idx // cand.shape[1]
         x = cand.ravel().take(idx)
@@ -339,12 +335,16 @@ def scan_cycles(
         if children is not None and len(children[1]):
             pending[t + 1].append(children)
             size[t + 1] += len(children[1])
-    out = [np.concatenate(a) for a in zip(*found)]
-    return CycleScan(out[0], words=out[-1] if words else None, **dict(zip(sums, out[1:])))
+    scan = CycleScan(*(np.concatenate(a) for a in zip(*found)))
+    for a in vars(scan).values():
+        a.flags.writeable = False
+    _memo = key, scan
+    return scan
 
 
 def enumerate_prime_cycles(g: DirectedGraph, n_max: int) -> list[PrimeCycle]:
     """All prime cycles of period <= n_max, canonical, sorted by
     (period, vertex sequence)."""
-    scan = scan_cycles(g, n_max=n_max, words=True).ordered()
+    scan = scan_cycles(g, dict.fromkeys(g.edge_set, 1.0), dict.fromkeys(g.edge_set, ()),
+                       n_max).ordered()
     return [PrimeCycle(w[:t]) for w, t in zip(scan.words.tolist(), scan.period.tolist())]

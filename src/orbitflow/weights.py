@@ -8,11 +8,11 @@ a chosen generator value, traversal in the edge's direction counting +1.
 
 Cycle data (total length and summed class vector) are plain Birkhoff sums
 over the traversed edges; ``cycle_sums`` gives them for every prime cycle
-up to a period from one ``scan_cycles`` call.  Lattice diagnostics reduce
-stacked cycle class vectors with an exact integer Smith normal form: one
-reduction, whose transforms U and V, when asked for, are identity blocks
-set beside and below the matrix and carried along by the same row and
-column operations.
+up to a period, ordered, from the memoised ``scan_cycles`` entry that
+every counter shares.  Lattice diagnostics reduce stacked cycle class
+vectors with an exact integer Smith normal form: one reduction, whose
+transforms U and V, when asked for, are identity blocks set beside and
+below the matrix and carried along by the same row and column operations.
 """
 
 from __future__ import annotations
@@ -284,8 +284,7 @@ def cycle_sums(g: DirectedGraph, w: WeightSystem, n_max: int) -> CycleScan:
     """Length and class of every prime cycle of period <= n_max, summed as
     ``birkhoff`` sums them, in (period, vertex sequence) order."""
     check_weights_cover(g, w)
-    return scan_cycles(g, n_max=n_max, edge_length=w.roof, edge_vector=w.classes,
-                       words=True).ordered()
+    return scan_cycles(g, w.roof, w.classes, n_max).ordered()
 
 
 def generation_check(g: DirectedGraph, w: WeightSystem, n_probe: int) -> GenerationCheck:

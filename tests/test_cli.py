@@ -65,6 +65,24 @@ def test_bad_input_exits_2_with_one_error_line(capsys, command):
     assert "Traceback" not in err
 
 
+
+# refusals pinned to their one line: (command, exit code, message)
+PINNED_REFUSALS = (
+    ("chebotarev bench3 --mod 400 --n 5", 2, "quotient order 160000 too large to tabulate"),
+    ("count full2 --T 10 --delta 1 --rho 0.5,0.5 --alpha 0", 2,
+     "rho and alpha must have the same length"),
+    # the growth law e^(hT) past the float range
+    ("predict full2 --T 1100 --delta 1 --rho 0.5 --alpha 0", 3,
+     "the predicted count overflows a float at T = 1100"),
+    ("margulis full2 --T 1030 --budget 1100", 3,
+     "the reference e^(hT)/(hT) overflows a float at T = 1030"),
+)
+
+
+@pytest.mark.parametrize("command,code,message", PINNED_REFUSALS)
+def test_refusal_prints_one_pinned_line(capsys, command, code, message):
+    assert run(capsys, *command.split(" ")) == (code, "", f"error: {message}\n")
+
 class TestValidate:
     def test_builtin_ok(self, capsys):
         code, out, _ = run(capsys, "validate", "full2")

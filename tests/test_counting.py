@@ -24,22 +24,29 @@ from orbitflow import (
     InfiniteQuotient,
     InvalidArgument,
     InvalidGraph,
+    MissingEdgeValue,
     MissingEdgeWeight,
     PrimeCycle,
     RoofNotUnit,
     WeightSystem,
     birkhoff,
     chebotarev_distribution,
+    checks,
     counting,
     cycle_table,
+    direction_hull,
     enumerate_prime_cycles,
     equidistribution_test,
     equilibrium_measure,
     exact_window_count,
     floor_class,
+    generation_check,
+    graphs,
     integrate_observable,
     jitter_averaged_ratio,
+    lattice_length_heuristic,
     margulis_total,
+    membership,
     predict_count,
     pressure_gradient,
     solve_u,
@@ -47,6 +54,7 @@ from orbitflow import (
     target_class,
     trace_prime_count,
     trace_prime_counts_table,
+    weights,
     window_count_from_table,
 )
 
@@ -57,6 +65,25 @@ FULL2 = DirectedGraph(2, ((1, 1), (1, 2), (2, 1), (2, 2)))
 
 S3 = list(itertools.permutations(range(3)))
 S3_TABLE = {(p, q): tuple(q[p[i]] for i in range(3)) for p in S3 for q in S3}   # p then q
+
+
+PAIRS = [(a, b) for a in (0, 1) for b in (0, 1)]
+# (call, error, exact message) for each refusal of a quotient
+QUOTIENT_REFUSALS = {
+    "non-square lattice": (lambda: FiniteQuotient.from_lattice([[1, 0]]),
+                           InvalidArgument, "lattice matrix must be square"),
+    "no identity": (lambda: FiniteQuotient.from_group((0, 1), dict.fromkeys(PAIRS, 0), {}),
+                    InvalidArgument, "multiplication table has no identity element"),
+    "non-invertible": (lambda: FiniteQuotient.from_group((0, 1), {p: max(p) for p in PAIRS}, {}),
+                       InvalidArgument, "multiplication table has non-invertible elements"),
+    "unlabelled edge": (lambda: chebotarev_distribution(FULL2, into2(), (), _unlabelled(), 3),
+                        MissingEdgeValue, "no group label on edge (2, 2)"),
+}
+
+
+def _unlabelled():
+    """S3 with every edge of FULL2 but (2, 2) labelled."""
+    return FiniteQuotient.from_group(S3, S3_TABLE, dict.fromkeys(FULL2.edges[:3], S3[1]))
 
 
 def into2():
@@ -232,7 +259,7 @@ def test_counters_match_brute_force_on_random_models(seed, k, d, data):
         "window": lambda: exact_window_count(g, w, q),
         "equi": equi,
     }
-    counting._memo = None
+    graphs._memo = None
     cold = {name: run() for name, run in counters.items()}
     warm = {name: counters[name]() for name in reversed(counters)}
     assert warm == cold
@@ -316,16 +343,21 @@ class TestScanMemo:
 
     @pytest.fixture
     def scans(self, monkeypatch):
-        calls = []
-        real = counting.scan_cycles
+        """The distinct scans that every caller of the entry got, from a
+        cold memo: one per scan built, however many calls it served."""
+        built = []
+        real = graphs.scan_cycles
 
-        def counted(g, **kwargs):
-            calls.append(g)
-            return real(g, **kwargs)
+        def counted(*args, **kwargs):
+            scan = real(*args, **kwargs)
+            if not any(scan is b for b in built):
+                built.append(scan)
+            return scan
 
-        monkeypatch.setattr(counting, "scan_cycles", counted)
-        monkeypatch.setattr(counting, "_memo", None)
-        return calls
+        for module in (graphs, counting, weights, checks):
+            monkeypatch.setattr(module, "scan_cycles", counted)
+        monkeypatch.setattr(graphs, "_memo", None)
+        return built
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -353,7 +385,7 @@ class TestScanMemo:
                 margulis_total(g, w, removed, T).exact, equi.empirical, equi.n_orbits)
 
     def cold(self, *args):
-        counting._memo = None
+        graphs._memo = None
         return self.results(*args)
 
     def test_orbit_counts_op_scans_bench3_once(self, scans, bench3, full2):
@@ -368,7 +400,24 @@ class TestScanMemo:
             equidistribution_test(g, w, dd, q, {e: float(e == hot) for e in g.edges})
         margulis_total(full2.graph, full2.weights, full2.removed, 20.0)
         exact_window_count(g, w, q)
-        assert scans == [g]
+        assert len(scans) == 1 and scans[0] is counting._scan(g, w, 20.0, removed, 32)
+
+    def test_depth_k_diagnostics_share_one_scan(self, scans, bench3):
+        g, w = bench3.graph, bench3.weights
+        k = g.vertex_count
+        direction_hull(g, w, k)
+        generation_check(g, w, k)
+        lattice_length_heuristic(g, w, k, [0.5, 1.0])
+        membership(g, w, (0.1, 0.1))
+        assert len(scans) == 1
+
+    def test_counters_after_membership_match_a_cold_memo(self, scans, bench3):
+        g, w, removed = bench3.graph, bench3.weights, bench3.removed
+        base = self.cold(g, w, 12.0, removed)
+        before = len(scans)
+        membership(g, w, (0.1, 0.1))   # a depth-k scan takes the memo's one entry
+        assert self.results(g, w, 12.0, removed) == base
+        assert len(scans) == before + 2
 
     def test_orbit_counts_op_solves_one_measure(self, solves, bench3):
         g, w, removed = bench3.graph, bench3.weights, bench3.removed
@@ -805,6 +854,12 @@ class TestFiniteQuotient:
             want = f"multiplication table has no entry {pair!r}"
         with pytest.raises(InvalidArgument, match=f"^{re.escape(want)}$"):
             FiniteQuotient.from_group(S3, table, dict.fromkeys(FULL2.edges, label))
+
+    @pytest.mark.parametrize("case", QUOTIENT_REFUSALS)
+    def test_quotient_refusal_message(self, case):
+        make, error, want = QUOTIENT_REFUSALS[case]
+        with pytest.raises(error, match=f"^{re.escape(want)}$"):
+            make()
 
     def test_group_has_no_lattice_reduce(self):
         table = {(a, b): (a + b) % 2 for a in (0, 1) for b in (0, 1)}

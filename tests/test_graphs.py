@@ -179,6 +179,7 @@ class TestEnumerate:
 
     def test_sorted_when_blocks_reorder_the_scan(self, monkeypatch):
         monkeypatch.setattr(graphs, "_BLOCK", 3)
+        monkeypatch.setattr(graphs, "_memo", None)   # a memo hit would not rescan
         got = [c.vertices for c in enumerate_prime_cycles(FULL2, 8)]
         assert got == brute_force_prime_cycles(FULL2, 8)
 
@@ -203,8 +204,7 @@ class TestEnumerate:
     def test_words_and_sums_match_birkhoff(self, bench3):
         g, w = bench3.graph, bench3.weights
         phi = {e: 0.1 * i + 0.3 for i, e in enumerate(sorted(g.edges))}
-        scan = scan_cycles(g, n_max=17, edge_length=w.roof, max_len=12.0,
-                           edge_vector=w.classes, words=True)
+        scan = scan_cycles(g, w.roof, w.classes, 17, max_len=12.0)
         assert len(scan.period) > 100
         values = _edge_sums(g, scan.words, scan.period, phi)
         for word, t, length, cls, value in zip(
@@ -224,8 +224,8 @@ class TestEnumerate:
         g, w = bench3.graph, bench3.weights
 
         def rows():
-            scan = scan_cycles(g, n_max=14, edge_length=w.roof, max_len=9.0,
-                               edge_vector=w.classes, words=True)
+            graphs._memo = None   # a memo hit would not rescan
+            scan = scan_cycles(g, w.roof, w.classes, 14, max_len=9.0)
             return sorted(zip(map(tuple, scan.words.tolist()), scan.length.tolist(),
                               map(tuple, scan.classes.tolist())))
 
@@ -234,10 +234,22 @@ class TestEnumerate:
         assert rows() == whole
 
     def test_exclude_and_n_max_checks(self):
-        scan = scan_cycles(FULL2, n_max=3, exclude=[(2,), (1, 1, 2)])
+        unit, empty = dict.fromkeys(FULL2.edges, 1.0), dict.fromkeys(FULL2.edges, ())
+        scan = scan_cycles(FULL2, unit, empty, 3, exclude=[(2,), (1, 1, 2)])
         assert sorted(scan.period.tolist()) == [1, 2, 3]
         with pytest.raises(InvalidArgument):
-            scan_cycles(FULL2, n_max=0)
+            scan_cycles(FULL2, unit, empty, 0)
+
+    def test_scan_is_memoised_and_read_only(self, bench3):
+        g, w = bench3.graph, bench3.weights
+        scan = scan_cycles(g, w.roof, w.classes, 6)
+        assert scan_cycles(g, dict(w.roof), dict(w.classes), 6) is scan
+        for a in vars(scan).values():
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+        assert all(a.flags.writeable for a in vars(scan.ordered()).values())
+        assert scan_cycles(g, w.roof, w.classes, 6, max_len=5.0) is not scan
 
     def test_closed_walk_identity(self):
         # sum over m | n of m * (#prime cycles of period m) = trace(A^n)

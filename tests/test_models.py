@@ -248,6 +248,46 @@ class TestRefusals:
         assert len(str(info.value)) < 500
 
 
+CHORDS_SAMPLE = SAMPLE.replace(" class=0", "").replace(" class=1", "") + """\
+[chords] tree=1>2
+chord = 1>1:0
+chord = 2>2:1
+chord = 2>1:0
+"""
+
+# (text, error, exact message) for each refusal of the parser
+TEXT_REFUSALS = {
+    "unknown section": (SAMPLE + "[nope]\n", ModelSyntaxError,
+                        "line 11: unknown section [nope]"),
+    "non-integer endpoint": (SAMPLE.replace("from=1 to=1", "from=x to=1"), ModelSyntaxError,
+                             "line 6: edge endpoints must be integers"),
+    "log of zero": (SAMPLE.replace("to=1 roof=1.0 class=0\n[edge] from=1 to=2",
+                                   "to=1 roof=log(0) class=0\n[edge] from=1 to=2"),
+                    ModelSyntaxError, "line 6: log() of non-positive value"),
+    "chord without colon": (CHORDS_SAMPLE.replace("chord = 2>2:1", "chord = 2>2"),
+                            ModelSyntaxError, "line 13: chord needs edge:vector"),
+    "chords without tree": (CHORDS_SAMPLE.replace("[chords] tree=1>2", "[chords]"),
+                            ValidationError, "[chords] section without a tree"),
+    "edge without class": (SAMPLE.replace("to=1 roof=1.0 class=0\n[edge] from=1 to=2",
+                                          "to=1 roof=1.0\n[edge] from=1 to=2"),
+                           ValidationError, "edge (1, 1): no class value and no [chords] section"),
+    "no edges": ("".join(line for line in SAMPLE.splitlines(True) if not line.startswith("[edge]")),
+                 ValidationError,
+                 "model has no edges; 2 of 2 vertices have out-degree 0, the first is vertex 1; "
+                 "2 of 2 vertices have in-degree 0, the first is vertex 1"),
+    "duplicate quotient": (SAMPLE + "[quotient] name=q lattice=2\n[quotient] name=q lattice=3\n",
+                           ValidationError, "duplicate quotient name 'q'"),
+    "quotient shape": (SAMPLE + "[quotient] name=q lattice=2,0\n", ValidationError,
+                       "quotient 'q': lattice must be 1x1"),
+}
+
+
+@pytest.mark.parametrize("case", TEXT_REFUSALS)
+def test_text_refusal_message(case):
+    text, error, message = TEXT_REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        parse_model(text)
+
 def _spanning_tree(g):
     """Non-loop edges joining vertex 1's component to the rest, one at a
     time, until every vertex is reached."""
