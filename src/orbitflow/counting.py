@@ -23,10 +23,11 @@ the scan.  It counts closed walks by the element of a finite group
 (k, k, N) array W[j, i, x], end vertex first so that a step gathers from one
 contiguous block per end vertex: int64 while the entries and trace of A^m
 stay under 2^62, Python ints from then on.  It inverts them per conjugacy
-class to prime-cycle counts by one Mobius recursion, and serves the unit-roof
-oracle, on a box Z^d / diag(S) that no class of a walk of at most n steps
-wraps around, and the density check over a ``FiniteQuotient`` (integer
-lattice or explicit finite group), whose class frequencies approach |C| / |G|.
+class to prime-cycle counts by one Mobius recursion behind one entry,
+``_walk_primes``, which serves the unit-roof oracle on a box Z^d / diag(S)
+that no class of a walk of at most n steps wraps around, the integer-roof
+total, and the density check over a ``FiniteQuotient`` (integer lattice
+or explicit finite group), whose class frequencies approach |C| / |G|.
 """
 
 from __future__ import annotations
@@ -141,7 +142,6 @@ def _scan(
 ) -> CycleScan:
     """Prime cycles of length <= max_len, removed ones excluded, from the
     memoised ``scan_cycles`` entry, at the depth the budget allows."""
-    check_weights_cover(g, w)
     n_max = _depth_cap(w, max_len, budget_cap)
     return scan_cycles(g, w.roof, w.classes, n_max, max_len=max_len,
                        exclude=tuple(c.vertices for c in removed))
@@ -235,11 +235,8 @@ def margulis_total(
     eps = w.r_min
     if eps.is_integer() and T < 2**53 and all(r == eps for r in w.roof.values()):
         n_max = _depth_cap(w, T, budget_cap)
-        require_valid(g)
-        one = FiniteQuotient.from_modulus(1, w.dimension)
-        prime = _prime_counts(_closed_walks(g, w, one, n_max), one)
-        n_top = sum(n * eps <= T for n in range(1, n_max + 1))
-        count = sum(int(p[0]) for p in prime[:n_top]) - len(_removed_cycles(g, removed, n_top))
+        _, prime = _walk_primes(g, w, n_max, FiniteQuotient.from_modulus(1, w.dimension), removed)
+        count = sum(int(p[0]) for n, p in enumerate(prime, 1) if n * eps <= T)
     else:
         count = len(_scan(g, w, T, removed, budget_cap).period)
     h = flow_pressure(g, w, np.zeros(w.dimension))
@@ -249,25 +246,8 @@ def margulis_total(
         raise NonConvergence(f"the reference e^(hT)/(hT) overflows a float at T = {T:g}") from None
 
 
-def _removed_cycles(g: DirectedGraph, removed, n_max: int) -> set:
-    """The distinct removed cycles of g of period <= n_max: what a scan excludes."""
-    return {c for c in removed if c.period <= n_max and g.edge_set.issuperset(c.edges())}
-
-
 # ---------------------------------------------------------------------------
 # graded closed walks: the trace oracle, the lattice total, the density check
-
-def _mobius(n: int) -> int:
-    result, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if n > 1 else result
-
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
@@ -331,44 +311,47 @@ def _prime_counts(walks, quot: "FiniteQuotient"):
     return prime
 
 
-def _box_walks(g: DirectedGraph, w: WeightSystem, n_max: int):
-    """The engine on the box Z^d / diag(S), S_i = n_max (max(0, max c_i) -
-    min(0, min c_i)) + 1, which holds every class of a walk of at most
-    n_max steps once: the box, its walk counts, and the class vector of
-    each box element.  Requires roof identically 1 and n_max >= 1."""
+def _walk_primes(g: DirectedGraph, w: WeightSystem, n_max: int, quot=None, removed=()):
+    """The walk engine's one entry: (keys, prime), prime[m - 1][c] the prime
+    cycles of period m in the class keyed keys[c], each distinct removed
+    cycle of g subtracted once in its own row.  Without quot it counts on
+    the box Z^d / diag(S), S_i = n_max (max(0, max c_i) - min(0, min c_i))
+    + 1, which holds every class of a walk of at most n_max steps once and
+    keys each by its class vector; the box requires roof identically 1."""
+    check_weights_cover(g, w)
+    require_valid(g)
     if n_max < 1:
         raise InvalidArgument(f"period bound must be >= 1, got {n_max}")
-    check_weights_cover(g, w)
-    if any(r != 1.0 for r in w.roof.values()):
-        raise RoofNotUnit("this oracle requires roof identically 1")
-    c = np.array([w.classes[e] for e in g.edges])
-    lo = n_max * np.minimum(c.min(axis=0), 0)
-    sides = tuple((n_max * np.maximum(c.max(axis=0), 0) - lo + 1).tolist())
-    box = FiniteQuotient._mixed_radix(sides, lambda vec: tuple(x % s for x, s in zip(vec, sides)))
-    vectors = (np.stack(np.unravel_index(np.arange(box.order), sides), axis=1) - lo) % sides + lo
-    return box, _closed_walks(g, w, box, n_max), vectors
+    if quot is None:
+        if any(r != 1.0 for r in w.roof.values()):
+            raise RoofNotUnit("this oracle requires roof identically 1")
+        c = np.array([w.classes[e] for e in g.edges])
+        lo = n_max * np.minimum(c.min(axis=0), 0)
+        sides = tuple((n_max * np.maximum(c.max(axis=0), 0) - lo + 1).tolist())
+        quot = FiniteQuotient._mixed_radix(sides, lambda vec: tuple(x % s for x, s in zip(vec, sides)))
+        vectors = (np.stack(np.unravel_index(np.arange(quot.order), sides), axis=1) - lo) % sides + lo
+        keys = list(map(tuple, vectors.tolist()))
+    else:
+        keys = quot.all_class_keys()
+    prime = _prime_counts(_closed_walks(g, w, quot, n_max), quot)
+    for c in {c for c in removed if c.period <= n_max and g.edge_set.issuperset(c.edges())}:
+        prime[c.period - 1][quot._class_keys.index(quot.cycle_class(w, c))] -= 1
+    return keys, prime
 
 
 def trace_prime_counts_table(g: DirectedGraph, w: WeightSystem, n_max: int):
     """prime[m][beta] for all m <= n_max, by walk traces and inversion."""
-    box, walks, vectors = _box_walks(g, w, n_max)
-    keys = list(map(tuple, vectors.tolist()))
+    keys, prime = _walk_primes(g, w, n_max)
     return {m: dict(zip(itertools.compress(keys, (row != 0).tolist()), row[row != 0].tolist()))
-            for m, row in enumerate(_prime_counts(walks, box), 1)}
+            for m, row in enumerate(prime, 1)}
 
 
 def trace_prime_count(g: DirectedGraph, w: WeightSystem, n: int, beta) -> int:
-    """Prime cycles of period n with class beta, via Mobius inversion over
-    the simultaneous divisors of (n, beta).  Requires roof identically 1."""
-    _, walks, vectors = _box_walks(g, w, n)
-    beta = tuple(int(x) for x in beta)
-    total = 0
-    for j in _divisors(math.gcd(n, *beta)):
-        at = _rows_equal(vectors, [b // j for b in beta], np.ones(len(vectors), dtype=bool))
-        total += _mobius(j) * int(walks[n // j - 1][at].sum())
-    if total % n != 0 or total < 0:
-        raise AssertionError(f"inconsistent walk counts for (n={n}, beta={beta})")
-    return total // n
+    """Prime cycles of period n with class beta: one entry of the trace
+    table's inversion.  Requires roof identically 1."""
+    keys, prime = _walk_primes(g, w, n)
+    at = _rows_equal(np.array(keys), [int(x) for x in beta], np.ones(len(keys), dtype=bool))
+    return int(prime[n - 1][at].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -496,28 +479,29 @@ def _check_order(order: int) -> None:
 
 class FiniteQuotient:
     """Finite quotient receiving cycle classes, its elements numbered
-    0..|G|-1.
+    0..|G|-1, with the product ``_mul(x, a)``: the index of x a, for
+    indices or index arrays x and a, given by each constructor.
 
     A lattice quotient Z^d / L numbers the element with Smith coordinates
     x (0 <= x_i < s_i, s the Smith diagonal of L) by its mixed-radix index
-    and labels it x.  Products are index arithmetic, with no |G|^2 table;
-    each conjugacy class is one element, and an edge carries the label of
-    its class vector.  An explicit group keeps the order given and an index
-    table of its products built once; each class is keyed by its members
-    sorted by repr, and an edge carries its own label.  Orders above
-    100,000 are refused before any table is built.
+    and labels it x.  Its product adds digits, with no |G|^2 table; each
+    conjugacy class is one element, and an edge carries the label of its
+    class vector.  An explicit group keeps the order given and multiplies
+    by the |G| x |G| array of its products, built once; each class is keyed
+    by its members sorted by repr, and an edge carries its own label.
+    Orders above 100,000 are refused before any array is built.
     """
 
-    def __init__(self, class_of, class_keys, edge_element, *, identity=0,
-                 table=None, radix=None, reduce=None):
+    def __init__(self, class_of, class_keys, edge_element, mul, *, identity=0, reduce=None):
         self.order = len(class_of)
         self._class_of = class_of
         self._class_keys = tuple(class_keys)
         self._sizes = dict(zip(self._class_keys, np.bincount(class_of).tolist()))
         self._reps = np.unique(class_of, return_index=True)[1]
         self._edge_element = edge_element
+        self._mul = mul
         self._identity = identity
-        self._table, self._radix, self._reduce = table, radix, reduce
+        self._reduce = reduce
 
     # -- constructors
 
@@ -558,10 +542,14 @@ class FiniteQuotient:
         coordinates."""
         order = math.prod(radix)
         _check_order(order)
+
+        def mul(x, a):
+            digits = zip(np.unravel_index(x, radix), np.unravel_index(a, radix))
+            return np.ravel_multi_index([i + j for i, j in digits], radix, mode="wrap")
+
         return cls(
             np.arange(order), itertools.product(*map(range, radix)),
-            lambda w, e: np.ravel_multi_index(reduce(w.classes[e]), radix),
-            radix=radix, reduce=reduce,
+            lambda w, e: np.ravel_multi_index(reduce(w.classes[e]), radix), mul, reduce=reduce,
         )
 
     @classmethod
@@ -607,18 +595,9 @@ class FiniteQuotient:
                 raise MissingEdgeValue(f"no group label on edge {edge}")
             return labels[edge]
 
-        return cls(class_of, keys, edge_element, identity=int(unit[0]), table=mult)
+        return cls(class_of, keys, edge_element, lambda x, a: mult[x, a], identity=int(unit[0]))
 
     # -- shared interface
-
-    def _mul(self, x, a):
-        """Index of x a, for indices or index arrays x and a: the one
-        place where a lattice and an explicit group differ."""
-        if self._table is None:
-            r = self._radix
-            digits = zip(np.unravel_index(x, r), np.unravel_index(a, r))
-            return np.ravel_multi_index([i + j for i, j in digits], r, mode="wrap")
-        return self._table[x, a]
 
     def reduce(self, vec) -> tuple[int, ...]:
         """Lattice label of an integer class vector."""
@@ -662,13 +641,8 @@ def chebotarev_distribution(
     Counts are exact: closed-walk traces in the quotient's group algebra,
     inverted to prime-cycle counts class by class.
     """
-    if n_max < 1:
-        raise InvalidArgument(f"period bound must be >= 1, got {n_max}")
-    check_weights_cover(g, w)
-    prime = _prime_counts(_closed_walks(g, w, quot, n_max), quot)
-    counts = dict(zip(quot.all_class_keys(), map(sum, zip(*(p.tolist() for p in prime)))))
-    for c in _removed_cycles(g, removed, n_max):
-        counts[quot.cycle_class(w, c)] -= 1
+    keys, prime = _walk_primes(g, w, n_max, quot, removed)
+    counts = dict(zip(keys, map(sum, zip(*(p.tolist() for p in prime)))))
     total = sum(counts.values())
     if total <= 0:
         raise EmptySelection("no prime cycles within the probed period")

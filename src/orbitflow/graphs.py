@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidGraph, MissingEdge, NotPrimitive
+from .errors import InvalidArgument, InvalidGraph, MissingEdge, MissingEdgeWeight, NotPrimitive
 
 Edge = tuple[int, int]
 
@@ -119,7 +119,10 @@ class PrimeCycle:
 
 
 def validate_graph(g: DirectedGraph) -> list[str]:
-    """Diagnostics; empty list means the graph is valid."""
+    """Diagnostics; empty list means the graph is valid.  It is strongly
+    connected iff its adjacency matrix A is irreducible, iff A + I is
+    primitive: (A + I)^m sums positive multiples of A^0..A^m, so its entry
+    (i, j) is positive iff a walk of at most m steps leads from i to j."""
     problems = []
     k = g.vertex_count
     if k < 2:
@@ -138,30 +141,9 @@ def validate_graph(g: DirectedGraph) -> list[str]:
             first = min(set(range(1, len(ends) + 2)) - ends)
             problems.append(f"{k - len(ends)} of {k} vertices have {kind}-degree 0, "
                             f"the first is vertex {first}")
-    if not problems and not _strongly_connected(g):
+    if not problems and not is_primitive_pattern(g.adjacency() + np.eye(k)):
         problems.append("graph is not strongly connected")
     return problems
-
-
-def _strongly_connected(g: DirectedGraph) -> bool:
-    k = g.vertex_count
-    fwd = {v: set() for v in range(1, k + 1)}
-    bwd = {v: set() for v in range(1, k + 1)}
-    for (a, b) in g.edge_set:
-        fwd[a].add(b)
-        bwd[b].add(a)
-
-    def reach(adj):
-        seen = {1}
-        stack = [1]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == k
-
-    return reach(fwd) and reach(bwd)
 
 
 def require_valid(g: DirectedGraph) -> None:
@@ -246,6 +228,9 @@ def scan_cycles(
     exclude.
     """
     global _memo
+    missing = g.edge_set - (roof.keys() & classes.keys())
+    if missing:
+        raise MissingEdgeWeight(f"edges without weights: {sorted(missing)}")
     edges = sorted(g.edge_set)
     exclude = tuple(exclude)
     key = g, [(roof[e], classes[e]) for e in edges], n_max, float(max_len), exclude

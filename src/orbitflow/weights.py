@@ -30,7 +30,7 @@ from .errors import (
     MissingEdgeWeight,
     NoMeridians,
 )
-from .graphs import CycleScan, DirectedGraph, Edge, PrimeCycle, scan_cycles
+from .graphs import CycleScan, DirectedGraph, Edge, PrimeCycle, is_primitive_pattern, scan_cycles
 
 
 @dataclass(frozen=True)
@@ -131,24 +131,19 @@ def weights_from_chords(g: DirectedGraph, ca: ChordAssignment) -> dict[Edge, tup
     for (a, b) in tree:
         if (a, b) not in g.edge_set:
             raise InvalidTree(f"tree edge ({a},{b}) is not an edge of the graph")
+        if not (1 <= a <= k and 1 <= b <= k):   # an index below 1 would wrap in the pattern
+            raise InvalidTree(f"tree edge ({a},{b}) references a vertex outside 1..{k}")
         if a == b:
             raise InvalidTree(f"loop ({a},{b}) cannot be a tree edge")
         key = (min(a, b), max(a, b))
         if key in undirected:
             raise InvalidTree(f"tree edges ({a},{b}) duplicate the undirected edge {key}")
         undirected.add(key)
-    # connectivity of the undirected tree
-    comp = {v: v for v in range(1, k + 1)}
-
-    def find(v):
-        while comp[v] != v:
-            comp[v] = comp[comp[v]]
-            v = comp[v]
-        return v
-
+    # connected iff the symmetric tree pattern plus I is primitive
+    pattern = np.eye(k)
     for (a, b) in undirected:
-        comp[find(a)] = find(b)
-    if len({find(v) for v in range(1, k + 1)}) != 1:
+        pattern[a - 1, b - 1] = pattern[b - 1, a - 1] = 1
+    if not is_primitive_pattern(pattern):
         raise InvalidTree("tree edges do not connect all vertices")
 
     tree_set = set(tree)
@@ -283,7 +278,6 @@ def check_weights_cover(g: DirectedGraph, w: WeightSystem) -> None:
 def cycle_sums(g: DirectedGraph, w: WeightSystem, n_max: int) -> CycleScan:
     """Length and class of every prime cycle of period <= n_max, summed as
     ``birkhoff`` sums them, in (period, vertex sequence) order."""
-    check_weights_cover(g, w)
     return scan_cycles(g, w.roof, w.classes, n_max).ordered()
 
 

@@ -315,11 +315,16 @@ def test_lattice_total_refuses_what_the_scan_refuses():
         (outside, (), InvalidGraph),                                    # edge to vertex 3 of 2
         (outside, ((2, 3),), MissingEdgeWeight),
     ]
+    # the other walk-engine consumers, on unit roofs, refuse as the total does
     for g, unweighted, error in cases:
         edges = g.edge_set - set(unweighted)
         w = WeightSystem(0, 1, dict.fromkeys(edges, 2.0), dict.fromkeys(edges, (0,)))
+        unit = WeightSystem(0, 1, dict.fromkeys(edges, 1.0), dict.fromkeys(edges, (0,)))
+        quot = FiniteQuotient.from_modulus(2, 1)
         for count in (lambda: margulis_total(g, w, (), 6.0),
-                      lambda: counting._scan(g, w, 6.0, (), 32)):
+                      lambda: counting._scan(g, w, 6.0, (), 32),
+                      lambda: chebotarev_distribution(g, unit, (), quot, 6),
+                      lambda: trace_prime_counts_table(g, unit, 6)):
             with pytest.raises(error):
                 count()
     with pytest.raises(BudgetExceeded):
@@ -578,8 +583,6 @@ class TestTraceOracle:
         assert trace_prime_count(FULL2, w, 2, (1,)) == 1
 
     def test_single_equals_table(self):
-        # the direct Mobius formula and the recursive table are two
-        # different inversions of the same walk counts
         w = into2()
         table = trace_prime_counts_table(FULL2, w, 10)
         for n in range(1, 11):
@@ -658,9 +661,9 @@ class TestTraceOracle:
         assert trace_prime_counts_table(g, w, 45) == {m: {(0, 0): want[m]} for m in want}
         for m in (39, 40, 41, 45):
             assert trace_prime_count(g, w, m, (0, 0)) == want[m]
-        box, walks, _ = counting._box_walks(g, w, 45)
-        assert box.order == 1
-        assert [row.dtype for row in walks] == [np.dtype(np.int64)] * 39 + [np.dtype(object)] * 6
+        keys, prime = counting._walk_primes(g, w, 45)
+        assert keys == [(0, 0)]
+        assert [row.dtype for row in prime] == [np.dtype(np.int64)] * 39 + [np.dtype(object)] * 6
 
 
 class TestPredict:

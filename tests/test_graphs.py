@@ -1,5 +1,7 @@
 """Graph validation, aperiodicity, canonical cycles, and enumeration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from orbitflow import (
     InvalidArgument,
     InvalidGraph,
     MissingEdge,
+    MissingEdgeWeight,
     NotPrimitive,
     PrimeCycle,
     birkhoff,
@@ -50,6 +53,33 @@ class TestValidate:
     def test_vertex_out_of_range(self):
         g = DirectedGraph(2, ((1, 2), (2, 1), (1, 3)))
         assert any("outside" in p for p in validate_graph(g))
+
+    def test_strong_connectivity_matches_a_search(self):
+        # a random permutation gives every vertex in- and out-degree 1 (a
+        # union of disjoint cycles), so only strong connectivity can fail;
+        # a few random extra edges join some of the cycles
+        rng = np.random.default_rng(18)
+        verdicts = set()
+        for k in range(2, 9):
+            for _ in range(40):
+                edges = {(i, int(j)) for i, j in enumerate(rng.permutation(k) + 1, 1)}
+                edges |= set(map(tuple, rng.integers(1, k + 1, (int(rng.integers(k)), 2)).tolist()))
+                g = DirectedGraph(k, tuple(sorted(edges)))
+                want = _reaches_all(k, edges) and _reaches_all(k, {(b, a) for a, b in edges})
+                assert validate_graph(g) == ([] if want else ["graph is not strongly connected"])
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+
+def _reaches_all(k, edges):
+    """Breadth-first search from vertex 1: does it reach all of 1..k?"""
+    seen, queue = {1}, [1]
+    for v in queue:
+        for a, b in sorted(edges):
+            if a == v and b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return len(seen) == k
 
 
 class TestAperiodic:
@@ -239,6 +269,13 @@ class TestEnumerate:
         assert sorted(scan.period.tolist()) == [1, 2, 3]
         with pytest.raises(InvalidArgument):
             scan_cycles(FULL2, unit, empty, 0)
+
+    @pytest.mark.parametrize("roof,classes", [({(1, 1): 1.0}, {(1, 1): (0,)}),
+                                              (dict.fromkeys(FULL2.edges, 1.0), {(1, 1): (0,)})])
+    def test_uncovered_edges_raise_missing_weight(self, full2, roof, classes):
+        want = "edges without weights: [(1, 2), (2, 1), (2, 2)]"
+        with pytest.raises(MissingEdgeWeight, match=f"^{re.escape(want)}$"):
+            scan_cycles(full2.graph, roof, classes, 3)
 
     def test_scan_is_memoised_and_read_only(self, bench3):
         g, w = bench3.graph, bench3.weights

@@ -3,6 +3,7 @@ lattice diagnostics."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,22 @@ class TestChords:
         g = DirectedGraph(2, ((1, 2), (2, 1)))
         ca = ChordAssignment(1, ((1, 2), (2, 1)), {})
         with pytest.raises(InvalidTree):
+            weights_from_chords(g, ca)
+
+    def test_disconnected_tree_rejected(self):
+        # three tree edges, as four vertices need, closing a triangle that
+        # leaves vertex 4 out
+        g = DirectedGraph(4, ((1, 2), (2, 3), (3, 1), (3, 4), (4, 1)))
+        ca = ChordAssignment(1, ((1, 2), (2, 3), (3, 1)), {(3, 4): (1,), (4, 1): (0,)})
+        with pytest.raises(InvalidTree, match="^tree edges do not connect all vertices$"):
+            weights_from_chords(g, ca)
+
+    @pytest.mark.parametrize("tree_edge", [(0, 1), (1, 3)])
+    def test_tree_vertex_outside_the_graph_rejected(self, tree_edge):
+        g = DirectedGraph(2, FULL2.edges + (tree_edge,))
+        ca = ChordAssignment(1, (tree_edge,), dict.fromkeys(FULL2.edges, (1,)))
+        want = f"tree edge ({tree_edge[0]},{tree_edge[1]}) references a vertex outside 1..2"
+        with pytest.raises(InvalidTree, match=f"^{re.escape(want)}$"):
             weights_from_chords(g, ca)
 
     def test_chord_crossing_count(self):
