@@ -15,7 +15,8 @@ The asymptotic predictor evaluates the window-count growth law for a
 direction rho inside the attainable set: a Gaussian prefactor from the
 entropy Hessian, a window factor, and the exponential of entropy * T
 corrected by the dual parameter paired with the fractional part of
-T * rho and the class offset.
+T * rho and the class offset.  ``evaluate_query``, ``sweep`` and
+``jitter_averaged_ratio`` set every window against it in one loop over one scan.
 
 One graded walk-count engine checks the class counts independently of
 the scan.  It counts closed walks by the element of a finite group
@@ -50,7 +51,7 @@ from .errors import (
     RoofNotUnit,
 )
 from .graphs import CycleScan, DirectedGraph, PrimeCycle, require_valid, scan_cycles
-from .legendre import DirectionData, entropy_hessian
+from .legendre import DirectionData, entropy_hessian, solve_u
 from .thermo import equilibrium_measure, flow_pressure, integrate_observable
 from .weights import WeightSystem, check_weights_cover, smith_decomposition
 
@@ -69,8 +70,9 @@ class CountQuery:
         object.__setattr__(self, "rho", tuple(float(x) for x in self.rho))
         object.__setattr__(self, "alpha", tuple(int(x) for x in self.alpha))
         object.__setattr__(self, "removed", tuple(self.removed))
-        if not (math.isfinite(self.T) and math.isfinite(self.delta)):
-            raise InvalidArgument(f"need finite T and delta, got T={self.T}, delta={self.delta}")
+        if not all(map(math.isfinite, (self.T, self.delta) + self.rho)):
+            raise InvalidArgument(f"need finite T, delta and rho, got T={self.T}, "
+                                  f"delta={self.delta}, rho={self.rho}")
         if not (0.0 < self.delta <= self.T):
             raise InvalidArgument(f"need 0 < delta <= T, got delta={self.delta}, T={self.T}")
         if len(self.rho) != len(self.alpha):
@@ -124,6 +126,8 @@ def target_class(w: WeightSystem, q: CountQuery) -> tuple[int, ...]:
 
 
 def _depth_cap(w: WeightSystem, max_len: float, budget_cap: int) -> int:
+    if not math.isfinite(max_len):
+        raise InvalidArgument(f"need a finite length bound, got {max_len}")
     depth = int(math.floor(max_len / w.r_min))
     if depth > budget_cap:
         raise BudgetExceeded(
@@ -191,19 +195,14 @@ def cycle_table(
     w: WeightSystem,
     max_len: float,
     *,
-    min_len: float = 0.0,
     removed=(),
     budget_cap: int = 32,
 ):
-    """Lengths and class vectors of all prime cycles with
-    min_len < length <= max_len, removed ones excluded.
-
-    Returns (lengths, classes) as numpy arrays; one enumeration pass can
-    then serve many window/class queries.
-    """
+    """(lengths, classes) of all prime cycles of length <= max_len, removed
+    ones excluded: the caller's own copies of the memoised scan's arrays,
+    one enumeration pass that can serve many window/class queries."""
     scan = _scan(g, w, max_len, removed, budget_cap)
-    keep = scan.length > min_len
-    return scan.length[keep], scan.classes[keep]
+    return scan.length.copy(), scan.classes.copy()
 
 
 def window_count_from_table(lengths, classes, T, delta, target) -> int:
@@ -388,6 +387,19 @@ def predict_count(
     return predicted
 
 
+def _evaluate(g: DirectedGraph, w: WeightSystem, dd: DirectionData, queries, budget_cap: int):
+    """Each query's CountResult, every window counted from one cycle table at
+    the largest T (queries share removed); ratio nan at a prediction of 0.
+    Lazy: nothing is scanned until the first result is asked for."""
+    table = cycle_table(g, w, max(q.T for q in queries), removed=queries[0].removed,
+                        budget_cap=budget_cap)
+    for q in queries:
+        exact = window_count_from_table(*table, q.T, q.delta, target_class(w, q))
+        predicted = predict_count(g, w, dd, q)
+        ratio = exact / predicted if predicted > 0 else float("nan")
+        yield CountResult(exact, predicted, ratio, target_class(w, q))
+
+
 def evaluate_query(
     g: DirectedGraph,
     w: WeightSystem,
@@ -395,17 +407,9 @@ def evaluate_query(
     q: CountQuery,
     *,
     budget_cap: int = 32,
-    table=None,
 ) -> CountResult:
-    """Exact window count and its prediction, bundled with the ratio.
-    ``table`` may carry a precomputed (lengths, classes) pair covering q.T."""
-    if table is None:
-        exact = exact_window_count(g, w, q, budget_cap=budget_cap)
-    else:
-        exact = window_count_from_table(*table, q.T, q.delta, target_class(w, q))
-    predicted = predict_count(g, w, dd, q)
-    ratio = exact / predicted if predicted > 0 else float("nan")
-    return CountResult(exact, predicted, ratio, target_class(w, q))
+    """Exact window count and its prediction, bundled with the ratio (nan at a 0 prediction)."""
+    return next(_evaluate(g, w, dd, [q], budget_cap))
 
 
 def sweep(
@@ -421,21 +425,11 @@ def sweep(
 ) -> list[SweepRow]:
     """Exact and predicted window counts for each T, one dual solve and
     one cycle table at the largest T."""
-    from .legendre import solve_u
-
-    rho = tuple(float(x) for x in rho)
-    alpha = tuple(int(x) for x in alpha)
     dd = solve_u(g, w, rho)
-    queries = [CountQuery(T=float(T), delta=float(delta), rho=rho, alpha=alpha, removed=removed)
+    queries = [CountQuery(T=float(T), delta=float(delta), rho=dd.rho, alpha=alpha, removed=removed)
                for T in T_list]
-    if not queries:
-        return []
-    table = cycle_table(g, w, max(q.T for q in queries), removed=removed, budget_cap=budget_cap)
-    rows = []
-    for q in queries:
-        res = evaluate_query(g, w, dd, q, table=table)
-        rows.append(SweepRow(q.T, q.delta, res.target_class, res.exact, res.predicted, res.ratio))
-    return rows
+    return [SweepRow(q.T, q.delta, res.target_class, res.exact, res.predicted, res.ratio)
+            for q, res in zip(queries, _evaluate(g, w, dd, queries, budget_cap))]
 
 
 def jitter_averaged_ratio(
@@ -448,25 +442,16 @@ def jitter_averaged_ratio(
     *,
     removed=(),
     budget_cap: int = 32,
-    table=None,
 ) -> float:
     """Mean of exact/predicted over the 5 windows at T + j delta / 5,
-    j = 0..4.
+    j = 0..4, all counted from one scan at T + 4 delta / 5.
 
     Damps the oscillation of a single window; a measurement convention,
-    not a change to the counted quantity.  ``table`` may carry a
-    precomputed (lengths, classes) pair covering T + delta.
+    not a change to the counted quantity.
     """
-    alpha = tuple(int(x) for x in alpha)
-    ts = [T + j * delta / 5 for j in range(5)]
-    if table is None:
-        table = cycle_table(g, w, max(ts), removed=removed, budget_cap=budget_cap)
-    ratios = []
-    for tj in ts:
-        q = CountQuery(T=tj, delta=delta, rho=dd.rho, alpha=alpha, removed=tuple(removed))
-        exact = window_count_from_table(*table, tj, delta, target_class(w, q))
-        ratios.append(exact / predict_count(g, w, dd, q))
-    return float(np.mean(ratios))
+    queries = [CountQuery(T=T + j * delta / 5, delta=delta, rho=dd.rho, alpha=alpha,
+                          removed=removed) for j in range(5)]
+    return float(np.mean([res.ratio for res in _evaluate(g, w, dd, queries, budget_cap)]))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from orbitflow import (
     birkhoff,
     builtin_model,
     chebotarev_distribution,
-    cycle_table,
     enumerate_prime_cycles,
     equidistribution_test,
     exact_window_count,
@@ -65,19 +64,9 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def bench3_setup():
-    """One enumeration pass shared by the heavy bench3 criteria."""
+    """The model and the dual solve shared by the heavy bench3 criteria."""
     m = builtin_model("bench3")
-    dd = solve_u(m.graph, m.weights, pressure_gradient(m.graph, m.weights, U_DOC))
-    t0 = time.perf_counter()
-    table = cycle_table(
-        m.graph,
-        m.weights,
-        max(T_GRID) + DELTA,
-        min_len=min(T_GRID) - DELTA,
-        removed=m.removed,
-        budget_cap=BUDGET,
-    )
-    return m, dd, table, time.perf_counter() - t0
+    return m, solve_u(m.graph, m.weights, pressure_gradient(m.graph, m.weights, U_DOC))
 
 
 def test_criterion_01_perron_exactness():
@@ -121,16 +110,16 @@ def test_criterion_06_oracle_equivalence():
 
 
 def test_criterion_07_counting_ratio_band(bench3_setup):
-    m, dd, table, table_time = bench3_setup
+    m, dd = bench3_setup
     t0 = time.perf_counter()
     ratios = [
         jitter_averaged_ratio(
             m.graph, m.weights, dd, (0, 0), DELTA, T,
-            removed=m.removed, budget_cap=BUDGET, table=table,
+            removed=m.removed, budget_cap=BUDGET,
         )
         for T in T_GRID
     ]
-    elapsed = table_time + (time.perf_counter() - t0)
+    elapsed = time.perf_counter() - t0
     in_band = all(0.4 <= r <= 2.5 for r in ratios)
     first3 = max(ratios[:3]) - min(ratios[:3])
     last3 = max(ratios[2:]) - min(ratios[2:])
@@ -229,7 +218,7 @@ def test_criterion_09_chebotarev():
 
 
 def test_criterion_10_equidistribution(bench3_setup):
-    m, dd, _, _ = bench3_setup
+    m, dd = bench3_setup
     q = CountQuery(T=25.0, delta=DELTA, rho=dd.rho, alpha=(0, 0), removed=m.removed)
     worst = 0.0
     worst_edge = None

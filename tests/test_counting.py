@@ -38,6 +38,7 @@ from orbitflow import (
     enumerate_prime_cycles,
     equidistribution_test,
     equilibrium_measure,
+    evaluate_query,
     exact_window_count,
     floor_class,
     generation_check,
@@ -393,6 +394,15 @@ class TestScanMemo:
         graphs._memo = None
         return self.results(*args)
 
+    def test_multi_window_counters_scan_once(self, scans, bench3):
+        g, w, removed = bench3.graph, bench3.weights, bench3.removed
+        rho = tuple(pressure_gradient(g, w, np.zeros(2)))
+        dd = solve_u(g, w, rho)
+        sweep(g, w, rho, (0, 0), 1.0, [14.0, 10.0, 12.0], removed=removed)
+        assert len(scans) == 1
+        jitter_averaged_ratio(g, w, dd, (0, 0), 1.0, 12.0, removed=removed)
+        assert len(scans) == 2
+
     def test_orbit_counts_op_scans_bench3_once(self, scans, bench3, full2):
         g, w, removed = bench3.graph, bench3.weights, bench3.removed
         rho = tuple(pressure_gradient(g, w, np.zeros(2)))
@@ -549,6 +559,19 @@ class TestExactWindowCount:
             q = CountQuery(T=T, delta=delta, rho=(0.0,), alpha=(beta,))
             total += exact_window_count(FULL2, w, q)
         assert total == unconstrained
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rho_refused(self, x):
+        want = f"need finite T, delta and rho, got T=10, delta=1, rho=({x},)"
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(want)}$"):
+            CountQuery(T=10, delta=1, rho=(x,), alpha=(0,))
+
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_non_finite_length_bound_refused(self, full2, bound):
+        with pytest.raises(InvalidArgument, match=f"^need a finite length bound, got {bound}$"):
+            cycle_table(full2.graph, full2.weights, bound)
+        with pytest.raises(InvalidArgument, match=f"^need finite T > 0, got T={bound}$"):
+            margulis_total(full2.graph, full2.weights, (), bound)
 
     def test_agrees_with_cycle_table(self):
         w = into2()
@@ -716,8 +739,6 @@ class TestPredict:
 
 class TestSweep:
     def test_evaluate_query_bundles_ratio(self):
-        from orbitflow import evaluate_query
-
         w = into2()
         dd = solve_u(FULL2, w, [0.5])
         q = CountQuery(T=10.0, delta=1.0, rho=(0.5,), alpha=(0,))
@@ -746,6 +767,19 @@ class TestSweep:
         rows1 = sweep(FULL2, w, (0.5,), (1,), 1.0, [10.0, 12.0, 14.0])
         for r in rows0 + rows1:
             assert 0.2 <= r.ratio <= 5.0
+
+    def test_unsorted_rows_match_single_queries(self, bench3):
+        g, w, removed = bench3.graph, bench3.weights, bench3.removed
+        rho = tuple(pressure_gradient(g, w, [0.0, 0.0]))
+        dd = solve_u(g, w, rho)
+        rows = sweep(g, w, rho, (0, 0), 1.0, [14.0, 10.0, 12.0], removed=removed)
+        assert [r.T for r in rows] == [14.0, 10.0, 12.0]
+        for r in rows:
+            q = CountQuery(T=r.T, delta=1.0, rho=rho, alpha=(0, 0), removed=removed)
+            assert r.target_class == target_class(w, q)
+            assert r.exact == exact_window_count(g, w, q)
+            assert r.predicted == predict_count(g, w, dd, q)
+            assert r.ratio == r.exact / r.predicted
 
     def test_benchmark_model_rows(self, bench3):
         from orbitflow import pressure_gradient
@@ -1107,10 +1141,12 @@ class TestJitterAverage:
         got = jitter_averaged_ratio(FULL2, w, dd, (0,), delta, T)
         assert got == pytest.approx(float(np.mean(manual)), rel=1e-12)
 
-    def test_table_reuse_is_identical(self):
-        w = into2()
-        dd = solve_u(FULL2, w, [0.5])
-        table = cycle_table(FULL2, w, 11.0)
-        a = jitter_averaged_ratio(FULL2, w, dd, (0,), 1.0, 10.0)
-        b = jitter_averaged_ratio(FULL2, w, dd, (0,), 1.0, 10.0, table=table)
-        assert a == pytest.approx(b, rel=1e-12)
+    def test_zero_prediction_gives_nan(self, full2):
+        # exp(-<u, alpha>) underflows: the prediction is 0.0 in every window
+        g, w = full2.graph, full2.weights
+        dd = solve_u(g, w, [0.3])
+        q = CountQuery(T=10.0, delta=1.0, rho=(0.3,), alpha=(-1000,))
+        assert predict_count(g, w, dd, q) == 0.0
+        assert math.isnan(jitter_averaged_ratio(g, w, dd, (-1000,), 1.0, 10.0))
+        assert math.isnan(evaluate_query(g, w, dd, q).ratio)
+        assert math.isnan(sweep(g, w, (0.3,), (-1000,), 1.0, [10.0])[0].ratio)
