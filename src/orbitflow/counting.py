@@ -137,10 +137,6 @@ def _depth_cap(w: WeightSystem, max_len: float, budget_cap: int) -> int:
     return max(depth, 1)
 
 
-# the last equilibrium measure, as (key, value); replaced whole
-_measure_memo: tuple | None = None
-
-
 def _scan(
     g: DirectedGraph, w: WeightSystem, max_len: float, removed, budget_cap: int
 ) -> CycleScan:
@@ -388,16 +384,16 @@ def predict_count(
 
 
 def _evaluate(g: DirectedGraph, w: WeightSystem, dd: DirectionData, queries, budget_cap: int):
-    """Each query's CountResult, every window counted from one cycle table at
-    the largest T (queries share removed); ratio nan at a prediction of 0.
+    """Each query's CountResult, every window counted in place from the one
+    scan at the largest T (queries share removed); ratio nan at a prediction of 0.
     Lazy: nothing is scanned until the first result is asked for."""
-    table = cycle_table(g, w, max(q.T for q in queries), removed=queries[0].removed,
-                        budget_cap=budget_cap)
+    scan = _scan(g, w, max(q.T for q in queries), queries[0].removed, budget_cap)
     for q in queries:
-        exact = window_count_from_table(*table, q.T, q.delta, target_class(w, q))
+        target = target_class(w, q)
+        exact = window_count_from_table(scan.length, scan.classes, q.T, q.delta, target)
         predicted = predict_count(g, w, dd, q)
         ratio = exact / predicted if predicted > 0 else float("nan")
-        yield CountResult(exact, predicted, ratio, target_class(w, q))
+        yield CountResult(exact, predicted, ratio, target)
 
 
 def evaluate_query(
@@ -654,9 +650,8 @@ def equidistribution_test(
     budget_cap: int = 32,
 ) -> EquidistributionResult:
     """Average of the per-orbit time averages of phi over the window/class
-    selection, against the equilibrium-state expectation at dd.u; that
-    state is solved once per (graph, roof and class of every edge, dd.u)."""
-    global _measure_memo
+    selection, against the equilibrium-state expectation at dd.u, whose
+    root ``pressure_jet`` keeps for the next call at the same direction."""
     missing = g.edge_set - set(phi)
     if missing:
         raise MissingEdgeValue(f"observable undefined on edges: {sorted(missing)}")
@@ -673,9 +668,5 @@ def equidistribution_test(
     total = 0.0
     for s, length in zip(sums.tolist(), scan.length[sel].tolist()):
         total += s / length
-    # content, not id(w), as a WeightSystem can be edited in place
-    key = g, [(w.roof[e], w.classes[e]) for e in sorted(g.edge_set)], tuple(map(float, dd.u))
-    if _measure_memo is None or _measure_memo[0] != key:
-        _measure_memo = key, equilibrium_measure(g, w, dd.u)
-    expected = integrate_observable(_measure_memo[1], w, phi_vals)
+    expected = integrate_observable(equilibrium_measure(g, w, dd.u), w, phi_vals)
     return EquidistributionResult(total / len(sel), expected, len(sel))

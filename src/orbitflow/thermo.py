@@ -8,14 +8,16 @@ the unique root s* of log lambda(M(u, s)) = 0 (the roof is strictly
 positive, so s -> log lambda is strictly decreasing).  The equilibrium
 measure is the Markov chain built from the Perron eigendata at s*.  One
 Perron pair at any s gives the chain, log lambda, the gradient and the
-closed-form Hessian, and the pressure corrected by one Newton step in s:
-a root solve is Newton over such pairs, and a nearby u needs about one.
+closed-form Hessian (when read), and the pressure corrected by one Newton
+step in s: a root solve is Newton over such pairs.  As the scan entry
+keeps its last scan, ``pressure_jet`` keeps its last roots, by content.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -170,15 +172,33 @@ def shift_pressure(g: DirectedGraph, w: WeightSystem, u, s: float) -> float:
 class PressureJet:
     """Flow pressure at u with its gradient and Hessian, and the eigen-chain
     (stationary vector, transition matrix) of the equilibrium state, from
-    one Perron pair at s: log_lambda = log lambda(M(u, s)), mean_roof = E_mu[r]."""
+    one Perron pair at s: log_lambda = log lambda(M(u, s)), mean_roof = E_mu[r],
+    centred = c - gradient * r on the edges.  Its arrays are read-only."""
 
     pressure: float
     gradient: np.ndarray
-    hessian: np.ndarray
     stationary: np.ndarray
     transition: np.ndarray
     log_lambda: float
     mean_roof: float
+    centred: np.ndarray
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        """Sigma(g) / E_mu[r], Sigma the asymptotic covariance of g = centred
+        along the chain: E_mu[g g^T] + E_mu[g (Z h)(head)^T] + transpose, Z =
+        (I - P + 1 pi)^-1, h(a) = sum_b P[a,b] g(a,b) (Parry & Pollicott,
+        Asterisque 187-188), symmetrised exactly; computed on first read."""
+        pi, p, g = self.stationary, self.transition, self.centred
+        with np.errstate(all="ignore"):
+            mu = pi[:, None] * p
+            zh = np.linalg.solve(np.eye(len(pi)) - p + pi[None, :],
+                                 np.einsum("ab,abd->ad", p, g))
+            cross = np.einsum("ab,abi,bj->ij", mu, g, zh)
+            hess = (np.einsum("ab,abi,abj->ij", mu, g, g) + cross + cross.T) / self.mean_roof
+        hess = 0.5 * (hess + hess.T)
+        hess.flags.writeable = False
+        return hess
 
 
 def pair_jet(r: np.ndarray, c: np.ndarray, u: np.ndarray, s: float) -> PressureJet:
@@ -186,13 +206,9 @@ def pair_jet(r: np.ndarray, c: np.ndarray, u: np.ndarray, s: float) -> PressureJ
     pressure s + log_lambda / E_mu[r], off the root by O(log_lambda^2).
 
     With mu the edge measure of the eigen-chain, the gradient is E_mu[c] /
-    E_mu[r].  The Hessian is Sigma(g) / E_mu[r] for the centred edge
-    function g = c - grad * r, where Sigma is its asymptotic covariance
-    along the chain: E_mu[g g^T] + E_mu[g (Z h)(head)^T] + its transpose,
-    with Z = (I - P + 1 pi)^-1 and h(a) = sum_b P[a,b] g(a,b) (Parry &
-    Pollicott, Asterisque 187-188), symmetrised exactly.  An edge entry of
-    M that under/overflows, or an eigen-chain that is not finite and
-    positive, raises NonConvergence.
+    E_mu[r]; the Hessian is computed from the chain when first read (see
+    ``PressureJet.hessian``).  An edge entry of M that under/overflows, or
+    an eigen-chain that is not finite and positive, raises NonConvergence.
     """
     with np.errstate(all="ignore"):  # lost finiteness or positivity refuses
         m = _transfer(r, c @ u, s)
@@ -208,24 +224,27 @@ def pair_jet(r: np.ndarray, c: np.ndarray, u: np.ndarray, s: float) -> PressureJ
         mean_roof = float((mu * r).sum())
         grad = np.einsum("ab,abd->d", mu, c) / mean_roof
         g = c - grad * r[:, :, None]  # 0 off the edges, where c and r are
-        zh = np.linalg.solve(np.eye(len(pi)) - p + pi[None, :],
-                             np.einsum("ab,abd->ad", p, g))
-        cross = np.einsum("ab,abi,bj->ij", mu, g, zh)
-        hess = (np.einsum("ab,abi,abj->ij", mu, g, g) + cross + cross.T) / mean_roof
+    for a in (grad, pi, p, g):
+        a.flags.writeable = False
     log_lam = math.log(pd.eigenvalue)
-    return PressureJet(s + log_lam / mean_roof, grad, 0.5 * (hess + hess.T), pi, p,
-                       log_lam, mean_roof)
+    return PressureJet(s + log_lam / mean_roof, grad, pi, p, log_lam, mean_roof, g)
 
 
 def pressure_jet(r: np.ndarray, c: np.ndarray, u) -> PressureJet:
     """The jet at the root s* of log lambda(M(u, s)) = 0 on the edge arrays
     of ``edge_arrays``: Newton in s, one ``pair_jet`` a step, from the
     midpoint of a closed-form bracket whose bisection guards every step.
-    The pressure is s* itself: at the root the correction is float noise.
-    The pattern R > 0 is checked for aperiodicity (a periodic graph raises
-    NotPrimitive).
+    The pressure is s* itself, as the correction is float noise there; a
+    periodic pattern R > 0 raises NotPrimitive.  The last four roots are
+    kept, read-only, keyed on the bytes and shapes of r, c and u.
     """
-    u = _as_u(c, u)
+    r, c = np.asarray(r, dtype=float), np.asarray(c, dtype=float)
+    return _root(r.shape, r.tobytes(), c.shape, c.tobytes(), _as_u(c, u).tobytes())
+
+
+@lru_cache(maxsize=4)  # an orbit_counts op reads three: bench3 at 0 and at u, full2 at 0
+def _root(r_shape, r, c_shape, c, u) -> PressureJet:
+    r, c, u = np.frombuffer(r).reshape(r_shape), np.frombuffer(c).reshape(c_shape), np.frombuffer(u)
     edge = r > 0
     if not is_primitive_pattern(edge):
         raise NotPrimitive("graph is periodic (cycle lengths have gcd > 1)")
@@ -260,7 +279,7 @@ def equilibrium_measure(g: DirectedGraph, w: WeightSystem, u) -> MarkovMeasure:
     M[i,j] r[j] / (lambda r[i]), pi[i] = l[i] r[i] / (l . r).
     """
     jet = pressure_jet(*edge_arrays(g, w), u)
-    pi, p = jet.stationary, jet.transition
+    pi, p = jet.stationary.copy(), jet.transition.copy()
     edge_measure = {
         (i, j): float(pi[i - 1] * p[i - 1, j - 1]) for (i, j) in g.edge_set
     }
@@ -269,14 +288,14 @@ def equilibrium_measure(g: DirectedGraph, w: WeightSystem, u) -> MarkovMeasure:
 
 def pressure_gradient(g: DirectedGraph, w: WeightSystem, u) -> np.ndarray:
     """Mean class per unit length under the equilibrium measure at u."""
-    return pressure_jet(*edge_arrays(g, w), u).gradient
+    return pressure_jet(*edge_arrays(g, w), u).gradient.copy()
 
 
 def pressure_hessian(g: DirectedGraph, w: WeightSystem, u) -> np.ndarray:
     """Closed-form pressure Hessian at u: the asymptotic covariance of the
-    centred class per unit length (see ``pressure_jet``), exactly
+    centred class per unit length (see ``PressureJet.hessian``), exactly
     symmetric."""
-    return pressure_jet(*edge_arrays(g, w), u).hessian
+    return pressure_jet(*edge_arrays(g, w), u).hessian.copy()
 
 
 def integrate_observable(mm: MarkovMeasure, w: WeightSystem, phi: dict) -> float:

@@ -29,6 +29,28 @@ def bench3():
     return builtin_model("bench3")
 
 
+@pytest.fixture
+def root_solves(monkeypatch):
+    """(class array shape, u) of every root ``thermo.pressure_jet`` solves
+    rather than serves from its memo, which starts cold."""
+    from orbitflow import thermo
+
+    solved = []
+    real = thermo._root
+    real.cache_clear()
+
+    def counted(r_shape, r, c_shape, c, u):
+        misses = real.cache_info().misses
+        jet = real(r_shape, r, c_shape, c, u)
+        if real.cache_info().misses > misses:
+            solved.append((c_shape, tuple(np.frombuffer(u).tolist())))
+        return jet
+
+    counted.cache_clear = real.cache_clear
+    monkeypatch.setattr(thermo, "_root", counted)
+    return solved
+
+
 def brute_force_prime_cycles(g: DirectedGraph, n_max: int):
     """Independent enumeration oracle: all words, explicit rotation
     minimality and primitivity checks."""

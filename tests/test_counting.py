@@ -365,19 +365,6 @@ class TestScanMemo:
         monkeypatch.setattr(graphs, "_memo", None)
         return built
 
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-        real = counting.equilibrium_measure
-
-        def counted(g, w, u):
-            calls.append(tuple(u))
-            return real(g, w, u)
-
-        monkeypatch.setattr(counting, "equilibrium_measure", counted)
-        monkeypatch.setattr(counting, "_measure_memo", None)
-        return calls
-
     @staticmethod
     def results(g, w, T, removed):
         """Every scan-fed counter at T, in a comparable form."""
@@ -434,16 +421,23 @@ class TestScanMemo:
         assert self.results(g, w, 12.0, removed) == base
         assert len(scans) == before + 2
 
-    def test_orbit_counts_op_solves_one_measure(self, solves, bench3):
+    def test_orbit_counts_op_solves_one_measure(self, root_solves, bench3, full2):
+        # the thermo root memo holds all three roots an op reads: bench3 at
+        # u = 0 (the growth-law reference), bench3 at dd.u, full2 at u = 0
         g, w, removed = bench3.graph, bench3.weights, bench3.removed
         rho = tuple(pressure_gradient(g, w, np.zeros(2)))
         dd = solve_u(g, w, rho)
         q = CountQuery(T=20.0, delta=1.0, rho=rho, alpha=(0, 0), removed=removed)
-        for hot in sorted(g.edges):
-            equidistribution_test(g, w, dd, q, {e: float(e == hot) for e in g.edges})
-        assert solves == [tuple(dd.u)]
+        for _ in range(2):
+            root_solves.clear()
+            margulis_total(g, w, removed, 20.0)
+            for hot in sorted(g.edges):
+                equidistribution_test(g, w, dd, q, {e: float(e == hot) for e in g.edges})
+            margulis_total(full2.graph, full2.weights, full2.removed, 20.0)
+            assert root_solves.count(((3, 3, 2), tuple(dd.u))) <= 1
+        assert root_solves == []
 
-    def test_changed_inputs_resolve_the_measure(self, solves, bench3):
+    def test_changed_inputs_resolve_the_measure(self, root_solves, bench3):
         def expected(g, w, u, T=12.0):
             rho = tuple(pressure_gradient(g, w, np.zeros(w.dimension)))
             dd = DirectionData(rho=rho, u=u, entropy=0.0, pressure_at_u=0.0,
@@ -457,15 +451,16 @@ class TestScanMemo:
         g = bench3.graph
         w = WeightSystem(bench3.weights.b, bench3.weights.meridians,
                          dict(bench3.weights.roof), dict(bench3.weights.classes))
-        base = expected(g, w, (0.0, 0.0))
-        assert expected(g, w, (0.0, 0.0)) == base and len(solves) == 1
-        assert expected(g, w, (0.1, -0.2)) != base and len(solves) == 2
+        base = expected(g, w, (0.0, 0.0))   # one root at u = 0 serves rho and the measure
+        assert expected(g, w, (0.0, 0.0)) == base and len(root_solves) == 1
+        assert expected(g, w, (0.1, -0.2)) != base and len(root_solves) == 2
         golden = DirectedGraph(2, ((1, 1), (1, 2), (2, 1)))
         assert expected(golden, into2(), (0.0,)) != expected(FULL2, into2(), (0.0,))
-        assert len(solves) == 4
+        assert len(root_solves) == 4
         expected(g, w, (0.0, 0.0))
+        assert len(root_solves) == 4
         w.roof[sorted(g.edges)[4]] += 0.25  # edited in place: same object, new content
-        assert expected(g, w, (0.0, 0.0)) != base and len(solves) == 6
+        assert expected(g, w, (0.0, 0.0)) != base and len(root_solves) == 5
 
     def test_changed_inputs_rescan(self, scans, bench3):
         g, removed = bench3.graph, bench3.removed

@@ -239,6 +239,57 @@ class TestSolveU:
         assert solve_u(FULL2, w, [rho_star]).entropy == pytest.approx(top, abs=1e-10)
 
 
+class TestRootMemo:
+    """``solve_u`` over the thermo root memo and the lazy Hessian."""
+
+    @staticmethod
+    def fields(dd):
+        return dd.rho, dd.u, dd.entropy, dd.pressure_at_u, dd.hessian_h.tobytes()
+
+    def test_warm_solve_takes_no_root_at_zero(self, root_solves, bench3):
+        g, w = bench3.graph, bench3.weights
+        rho, other = (pressure_gradient(g, w, u) for u in ([0.3, -0.2], [-0.5, 0.4]))
+        thermo._root.cache_clear()
+        cold = solve_u(g, w, rho)
+        assert ((3, 3, 2), (0.0, 0.0)) in root_solves
+        solve_u(g, w, other)
+        root_solves.clear()
+        warm = solve_u(g, w, rho)
+        assert ((3, 3, 2), (0.0, 0.0)) not in root_solves
+        assert self.fields(warm) == self.fields(cold)
+
+    @pytest.mark.parametrize("u_seed, outside", [((0.5, -0.5), None), (None, (0.0, 0.9))])
+    def test_rejected_trial_pair_computes_no_hessian(self, monkeypatch, bench3, u_seed, outside):
+        # a trial pair the line search rejects, or a correction replaced by
+        # the next, is followed at once by another pair; an accepted one has
+        # its Hessian read first (or is replaced by a polished root)
+        g, w = bench3.graph, bench3.weights
+        rho = outside or pressure_gradient(g, w, u_seed)
+        events = []
+        pair_jet, hessian = legendre.pair_jet, thermo.PressureJet.__dict__["hessian"]
+        read = hessian.func
+
+        def paired(*args):
+            events.append(("pair", pair_jet(*args)))
+            return events[-1][1]
+
+        def hessian_read(jet):
+            events.append(("hess", jet))
+            return read(jet)
+
+        monkeypatch.setattr(legendre, "pair_jet", paired)
+        monkeypatch.setattr(hessian, "func", hessian_read)
+        if outside:
+            with pytest.raises(OutsideCone, match="line search stalled"):
+                solve_u(g, w, rho)
+        else:
+            solve_u(g, w, rho)
+        replaced = [jet for (kind, jet), (next_kind, _) in zip(events, events[1:])
+                    if kind == next_kind == "pair"]
+        assert len(replaced) >= 3
+        assert not any("hessian" in vars(jet) for jet in replaced)
+
+
 class TestEntropyHessian:
     def test_symmetric_point(self):
         dd = solve_u(FULL2, into2(), [0.5])

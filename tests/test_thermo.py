@@ -21,6 +21,7 @@ from orbitflow import (
     pressure_hessian,
     shift_pressure,
     solve_u,
+    thermo,
     transfer_matrix,
 )
 
@@ -355,6 +356,43 @@ class TestEquilibrium:
                 float(np.dot(u, w.classes[(i, j)])) - s * w.roof[(i, j)]
             )
         assert entropy_rate + integral == pytest.approx(0.0, abs=1e-9)
+
+
+class TestRootMemo:
+    """``pressure_jet`` keeps its last roots; the public wrappers hand back
+    arrays the caller owns, and the memo's arrays are read-only."""
+
+    def test_mutating_returned_arrays_leaves_the_next_call_unchanged(self, bench3):
+        g, w, u = bench3.graph, bench3.weights, [0.3, -0.2]
+        reads = (
+            lambda: pressure_gradient(g, w, u),
+            lambda: pressure_hessian(g, w, u),
+            lambda: equilibrium_measure(g, w, u).stationary,
+            lambda: equilibrium_measure(g, w, u).transition,
+        )
+        for read in reads:
+            first = read()
+            before = first.copy()
+            first[...] = np.nan
+            assert read().tobytes() == before.tobytes()
+
+    def test_memo_arrays_are_read_only(self, bench3):
+        jet = thermo.pressure_jet(*thermo.edge_arrays(bench3.graph, bench3.weights), [0.3, -0.2])
+        for a in (jet.gradient, jet.hessian, jet.stationary, jet.transition, jet.centred):
+            assert not a.flags.writeable
+
+    def test_content_keyed_and_bit_identical_to_a_cold_root(self, root_solves, bench3):
+        g, w = bench3.graph, bench3.weights
+        r, c = thermo.edge_arrays(g, w)
+        cold = thermo.pressure_jet(r, c, [0.3, -0.2])
+        assert thermo.pressure_jet(r.copy(), c.copy(), (0.3, -0.2)) is cold
+        assert len(root_solves) == 1
+        thermo._root.cache_clear()
+        again = thermo.pressure_jet(r, c, [0.3, -0.2])
+        assert again is not cold and len(root_solves) == 2
+        for name in ("gradient", "hessian", "stationary", "transition"):
+            assert getattr(again, name).tobytes() == getattr(cold, name).tobytes()
+        assert (again.pressure, again.log_lambda) == (cold.pressure, cold.log_lambda)
 
 
 class TestIntegrateObservable:
