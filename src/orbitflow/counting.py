@@ -112,7 +112,10 @@ class EquidistributionResult:
 
 def floor_class(rho, T: float) -> tuple[int, ...]:
     """Componentwise floor of T * rho (fundamental domain [0,1)^d)."""
-    return tuple(int(math.floor(T * float(x))) for x in rho)
+    scaled = [T * float(x) for x in rho]
+    if not all(map(math.isfinite, scaled)):
+        raise InvalidArgument(f"T * rho passes the float range at T = {T:g}")
+    return tuple(math.floor(x) for x in scaled)
 
 
 def target_class(w: WeightSystem, q: CountQuery) -> tuple[int, ...]:
@@ -131,7 +134,7 @@ def _depth_cap(w: WeightSystem, max_len: float, budget_cap: int) -> int:
     depth = int(math.floor(max_len / w.r_min))
     if depth > budget_cap:
         raise BudgetExceeded(
-            f"symbolic depth {depth} exceeds the cap {budget_cap} "
+            f"symbolic depth {depth:g} exceeds the cap {budget_cap} "
             f"(max length {max_len:g}, minimal roof {w.r_min:g})"
         )
     return max(depth, 1)
@@ -172,6 +175,8 @@ def _rows_equal(rows, vector, mask) -> np.ndarray:
 
 def _in_window(lengths, classes, T, delta, target) -> np.ndarray:
     """Mask of the cycles with length in (T - delta, T] and class target."""
+    if not all(-2**63 <= int(x) < 2**63 for x in target):
+        raise InvalidArgument("the target class passes the int64 range")
     target = np.asarray(target, dtype=np.int64)
     return _rows_equal(classes, target, (lengths > T - delta) & (lengths <= T))
 
@@ -195,8 +200,9 @@ def cycle_table(
     budget_cap: int = 32,
 ):
     """(lengths, classes) of all prime cycles of length <= max_len, removed
-    ones excluded: the caller's own copies of the memoised scan's arrays,
-    one enumeration pass that can serve many window/class queries."""
+    ones excluded, in (period, vertex sequence) order: the caller's own
+    copies of the memoised scan's arrays, one enumeration pass that can
+    serve many window/class queries."""
     scan = _scan(g, w, max_len, removed, budget_cap)
     return scan.length.copy(), scan.classes.copy()
 
@@ -222,7 +228,7 @@ def margulis_total(
     step eps the ratio exact / reference, taken at T in eps * Z, tends to
     h eps / (1 - e^(-h eps)) instead: 2 log 2 for full2 (Parry &
     Pollicott, Asterisque 187-188, 1990).  A reference past the float
-    range raises NonConvergence.
+    range, or with hT at 0, raises NonConvergence.
     """
     if not (math.isfinite(T) and T > 0):
         raise InvalidArgument(f"need finite T > 0, got T={T}")
@@ -236,9 +242,12 @@ def margulis_total(
         count = len(_scan(g, w, T, removed, budget_cap).period)
     h = flow_pressure(g, w, np.zeros(w.dimension))
     try:
-        return MargulisCount(count, math.exp(h * T) / (h * T))
-    except OverflowError:
-        raise NonConvergence(f"the reference e^(hT)/(hT) overflows a float at T = {T:g}") from None
+        reference = math.exp(h * T) / (h * T)
+    except (OverflowError, ZeroDivisionError):
+        reference = math.inf
+    if not math.isfinite(reference):
+        raise NonConvergence(f"the reference e^(hT)/(hT) overflows a float at T = {T:g}")
+    return MargulisCount(count, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +370,7 @@ def predict_count(
     * exp(entropy * T + <u, T rho - floor(T rho)>) / T^(1 + d/2),
     where the window factor is (1 - e^(-p delta)) / p at p = pressure at
     u(rho), continuously extended to delta at p = 0.  A prediction past
-    the float range raises NonConvergence.
+    the float range, or with T^(1 + d/2) at 0, raises NonConvergence.
     """
     floor = np.subtract(target_class(w, q), q.alpha)
     if tuple(round(x, 12) for x in dd.rho) != tuple(round(float(x), 12) for x in q.rho):
@@ -376,7 +385,7 @@ def predict_count(
         window = (1.0 - math.exp(-p * q.delta)) / p if abs(p) > 1e-12 else q.delta
         predicted = (math.sqrt(det) / (2.0 * math.pi) ** (d / 2.0) * window
                      * math.exp(exponent) / q.T ** (1.0 + d / 2.0))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         predicted = math.inf
     if not math.isfinite(predicted):
         raise NonConvergence(f"the predicted count overflows a float at T = {q.T:g}")
@@ -661,8 +670,8 @@ def equidistribution_test(
     sel = np.flatnonzero(_in_window(scan.length, scan.classes, q.T, q.delta, target))
     if len(sel) == 0:
         raise EmptySelection("no orbit matches the window and class constraints")
-    # summed in lexicographic word order, so the float result does not
-    # depend on the order in which the scan emits cycles
+    # summed in lexicographic word order, not the scan's (period, word)
+    # order, which moves the last digit of the README's equidist full2 result
     sel = sel[np.lexsort(scan.words[sel].T[::-1])]
     sums = _edge_sums(g, scan.words[sel], scan.period[sel], phi_vals)
     total = 0.0

@@ -13,8 +13,10 @@ necklace rule of Cattell, Ruskey, Sawada, Serra & Miers (J. Algorithms 37,
 prefix iff x >= word[t-p], the period staying p on equality and becoming
 t + 1 otherwise; the word is a prime cycle when p = t and its last vertex
 has an edge back to its first.  Each prime cycle comes once, with no
-deduplication, and the frontier is expanded in blocks of at most _BLOCK
-rows, so memory stays flat however many cycles a scan yields.
+deduplication, in (period, vertex sequence) order: each level is expanded
+first in, first out, so its words stay in order, and the cycles are joined
+period by period.  The frontier is expanded in blocks of at most _BLOCK
+rows, which bounds memory only, not the order or the sums.
 """
 
 from __future__ import annotations
@@ -194,21 +196,17 @@ _BLOCK = 4096
 
 @dataclass(frozen=True, eq=False)
 class CycleScan:
-    """One entry per prime cycle found by ``scan_cycles``: ``length`` is
-    the roof sum in word order with the closing edge last, as ``birkhoff``
-    takes it, ``classes`` the n x d class sums, ``words`` the canonical
-    vertex sequences padded with 0; read-only arrays, held by the memo.
+    """One entry per prime cycle found by ``scan_cycles``, in (period,
+    vertex sequence) order: ``length`` is the roof sum in word order with
+    the closing edge last, as ``birkhoff`` takes it, ``classes`` the n x d
+    class sums, ``words`` the canonical vertex sequences padded with 0;
+    read-only arrays, held by the memo.
     """
 
     period: np.ndarray
     length: np.ndarray
     classes: np.ndarray
     words: np.ndarray
-
-    def ordered(self) -> CycleScan:
-        """The same cycles in (period, vertex sequence) order, in new arrays."""
-        order = np.lexsort([*self.words.T[::-1], self.period])
-        return CycleScan(*(a[order] for a in vars(self).values()))
 
 
 # the last scan, as (key, scan); replaced whole
@@ -220,9 +218,10 @@ def scan_cycles(
     max_len: float = math.inf, exclude=(),
 ) -> CycleScan:
     """All prime cycles of period <= n_max and length <= max_len, less the
-    canonical words in ``exclude``: periods, lengths (``roof`` summed),
-    classes (``classes`` summed) and words, pruning branches that cannot
-    close within max_len.  The last scan is kept and returned again while
+    canonical words in ``exclude``, in (period, vertex sequence) order
+    whatever _BLOCK is: periods, lengths (``roof`` summed), classes
+    (``classes`` summed) and words, pruning branches that cannot close
+    within max_len.  The last scan is kept and returned again while
     its key matches: the graph, the roof and class of every edge (content,
     not identity, as weights can be edited in place), n_max, max_len and
     exclude.
@@ -266,7 +265,7 @@ def scan_cycles(
     drop: dict[int, list] = {}
     for word in exclude:
         drop.setdefault(len(word), []).append(word)
-    found: list[list] = []
+    found: list[list] = [[] for _ in range(n_max + 1)]   # emitted blocks per period
 
     def step(t, w, p, *acc):
         """Emit the prime cycles among the words of length t (rows of w,
@@ -279,7 +278,7 @@ def scan_cycles(
             close[close] = ~(w[close, None, :t] == np.array(drop[t])).all(axis=2).any(axis=1)
         sel = np.flatnonzero(close)
         e = closing.take(sel)
-        found.append([np.full(len(sel), t, dtype=ptype)] + [
+        found[t].append([np.full(len(sel), t, dtype=ptype)] + [
             a.take(sel, axis=0) + tab.take(e, axis=0) for a, tab in zip(acc, tables)
         ] + [w.take(sel, axis=0)])
         if t == n_max:
@@ -320,7 +319,7 @@ def scan_cycles(
         if children is not None and len(children[1]):
             pending[t + 1].append(children)
             size[t + 1] += len(children[1])
-    scan = CycleScan(*(np.concatenate(a) for a in zip(*found)))
+    scan = CycleScan(*(np.concatenate(a) for a in zip(*sum(found, []))))
     for a in vars(scan).values():
         a.flags.writeable = False
     _memo = key, scan
@@ -328,8 +327,7 @@ def scan_cycles(
 
 
 def enumerate_prime_cycles(g: DirectedGraph, n_max: int) -> list[PrimeCycle]:
-    """All prime cycles of period <= n_max, canonical, sorted by
-    (period, vertex sequence)."""
-    scan = scan_cycles(g, dict.fromkeys(g.edge_set, 1.0), dict.fromkeys(g.edge_set, ()),
-                       n_max).ordered()
+    """All prime cycles of period <= n_max, canonical, in the scan's
+    (period, vertex sequence) order."""
+    scan = scan_cycles(g, dict.fromkeys(g.edge_set, 1.0), dict.fromkeys(g.edge_set, ()), n_max)
     return [PrimeCycle(w[:t]) for w, t in zip(scan.words.tolist(), scan.period.tolist())]

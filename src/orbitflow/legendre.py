@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import (DegenerateModel, DimensionMismatch, EmptySelection, NonConvergence,
                      OutsideCone, SingularHessian)
-from .graphs import DirectedGraph, require_valid
-from .weights import WeightSystem, cycle_sums
+from .graphs import DirectedGraph, require_valid, scan_cycles
+from .weights import WeightSystem
 from .thermo import edge_arrays, pair_jet, pressure_jet
 
 
@@ -86,7 +86,7 @@ def _qhull(coords: np.ndarray):
 def _ratio_points(g: DirectedGraph, w: WeightSystem, n: int) -> np.ndarray:
     """Distinct class/length ratios over prime cycles of period <= n, in
     the (period, vertex sequence) order of their first cycle."""
-    scan = cycle_sums(g, w, n)
+    scan = scan_cycles(g, w.roof, w.classes, n)
     if not len(scan.period):
         raise EmptySelection(f"no prime cycle of period <= {n}")
     ratios = scan.classes / scan.length[:, None]
@@ -196,12 +196,13 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
             step = np.linalg.solve(jet.hessian + 1e-10 * np.eye(d), -grad)
         if not np.isfinite(step).all():
             raise OutsideCone("Newton step is not finite; direction outside the attainable set")
-        slope = float(grad @ step)
-        if slope >= 0.0:  # not a descent direction; regularize
-            step = np.linalg.solve(jet.hessian + 1e-10 * np.eye(d), -grad)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge rho stalls below
             slope = float(grad @ step)
+            if slope >= 0.0:  # not a descent direction; regularize
+                step = np.linalg.solve(jet.hessian + 1e-10 * np.eye(d), -grad)
+                slope = float(grad @ step)
+            dp, d2p = float(jet.gradient @ step), float(step @ jet.hessian @ step)
         flat = -slope <= _FLAT_TOL * max(1.0, abs(e_val))
-        dp, d2p = float(jet.gradient @ step), float(step @ jet.hessian @ step)
         t = 1.0
         while t >= 1e-12:
             u_new = u + t * step

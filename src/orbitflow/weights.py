@@ -7,12 +7,12 @@ undirected edge graph: tree edges get the zero vector and every chord gets
 a chosen generator value, traversal in the edge's direction counting +1.
 
 Cycle data (total length and summed class vector) are plain Birkhoff sums
-over the traversed edges; ``cycle_sums`` gives them for every prime cycle
-up to a period, ordered, from the memoised ``scan_cycles`` entry that
-every counter shares.  Lattice diagnostics reduce stacked cycle class
-vectors with an exact integer Smith normal form: one reduction, whose
-transforms U and V, when asked for, are identity blocks set beside and
-below the matrix and carried along by the same row and column operations.
+over the traversed edges.  The lattice diagnostics read them from the
+memoised ``scan_cycles`` entry that every counter shares, and reduce
+stacked cycle class vectors with an exact integer Smith normal form: one
+reduction, whose transforms U and V, when asked for, are identity blocks
+set beside and below the matrix and carried along by the same row and
+column operations.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     MissingEdgeWeight,
     NoMeridians,
 )
-from .graphs import CycleScan, DirectedGraph, Edge, PrimeCycle, is_primitive_pattern, scan_cycles
+from .graphs import DirectedGraph, Edge, PrimeCycle, is_primitive_pattern, scan_cycles
 
 
 @dataclass(frozen=True)
@@ -275,12 +275,6 @@ def check_weights_cover(g: DirectedGraph, w: WeightSystem) -> None:
         raise MissingEdgeWeight(f"edges without weights: {sorted(missing)}")
 
 
-def cycle_sums(g: DirectedGraph, w: WeightSystem, n_max: int) -> CycleScan:
-    """Length and class of every prime cycle of period <= n_max, summed as
-    ``birkhoff`` sums them, in (period, vertex sequence) order."""
-    return scan_cycles(g, w.roof, w.classes, n_max).ordered()
-
-
 def generation_check(g: DirectedGraph, w: WeightSystem, n_probe: int) -> GenerationCheck:
     """Do the class vectors of cycles up to period n_probe generate the
     full integer lattice?  True iff the stacked class matrix has full rank
@@ -289,7 +283,7 @@ def generation_check(g: DirectedGraph, w: WeightSystem, n_probe: int) -> Generat
     strongly connected graph n_probe >= the vertex count gives the exact
     group: every closed walk splits into simple cycles of at most that
     period, so its class is a sum of theirs."""
-    classes = cycle_sums(g, w, n_probe).classes
+    classes = scan_cycles(g, w.roof, w.classes, n_probe).classes
     rows = np.unique(classes[classes.any(axis=1)], axis=0).tolist()
     if not rows:
         return GenerationCheck(False, (), 0)
@@ -299,15 +293,11 @@ def generation_check(g: DirectedGraph, w: WeightSystem, n_probe: int) -> Generat
     return GenerationCheck(generates, tuple(divisors), rank)
 
 
-def lattice_length_heuristic(
-    g: DirectedGraph,
-    w: WeightSystem,
-    n_probe: int,
-    eps_grid,
-    *,
-    tol: float = 1e-9,
-) -> list[float]:
-    """Scales eps such that every probed cycle length lies within tol of
+_LATTICE_TOL = 1e-9   # lattice_length_heuristic: a length's distance to eps * Z
+
+
+def lattice_length_heuristic(g: DirectedGraph, w: WeightSystem, n_probe: int, eps_grid) -> list[float]:
+    """Scales eps such that every probed cycle length lies within 1e-9 of
     eps * Z, a sign of arithmetic structure in the length spectrum.  With
     n_probe >= the vertex count the probed lengths generate the whole
     length group (see ``generation_check``); with no cycle probed nothing
@@ -315,8 +305,8 @@ def lattice_length_heuristic(
     grid = [float(eps) for eps in eps_grid]
     if not all(0.0 < eps < np.inf for eps in grid):
         raise InvalidArgument(f"scales must be positive and finite, got {grid}")
-    lengths = cycle_sums(g, w, n_probe).length
+    lengths = scan_cycles(g, w.roof, w.classes, n_probe).length
     if not len(lengths):
         return []
     return [eps for eps in grid
-            if (np.abs(lengths / eps - np.round(lengths / eps)) * eps <= tol).all()]
+            if (np.abs(lengths / eps - np.round(lengths / eps)) * eps <= _LATTICE_TOL).all()]

@@ -1,8 +1,13 @@
 """Command line surface: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitflow.cli import main
 
@@ -54,6 +59,10 @@ BAD_INPUT = (
     "sweep full2 --Tmin 1.0000000000000002 --Tmax 1.000000000000001 "
     "--step 1.1102230246251565e-16 --rho 0.5 --alpha 0",
     "chebotarev full2 --mod 2 --quotient x --n 4",
+    # a target class floor(T rho) + alpha outside int64, or T rho past the float range
+    "count full2 --T 10 --delta 1 --rho -1e300 --alpha 0",
+    "count bench3 --T 10 --delta 1 --rho 0.5,0.5 --alpha 99999999999999999999,0",
+    "count bench3 --T 1e300 --delta 0.5 --rho 2.5,1e300 --alpha 2,1",
 )
 
 
@@ -76,12 +85,94 @@ PINNED_REFUSALS = (
      "the predicted count overflows a float at T = 1100"),
     ("margulis full2 --T 1030 --budget 1100", 3,
      "the reference e^(hT)/(hT) overflows a float at T = 1030"),
+    # ... and at a T so small that hT or T^(1 + d/2) is 0
+    ("margulis goldenmean --T 5e-324", 3,
+     "the reference e^(hT)/(hT) overflows a float at T = 4.94066e-324"),
+    ("margulis bench3 --T 5e-324", 3,
+     "the reference e^(hT)/(hT) overflows a float at T = 4.94066e-324"),
+    ("predict full2 --T 5e-324 --delta 5e-324 --rho 0.5 --alpha 0", 3,
+     "the predicted count overflows a float at T = 4.94066e-324"),
+    # a direction so far out that the Newton products overflow
+    ("entropy full2 --rho 1e300", 3, "line search stalled with gradient norm 1e+300"),
 )
 
 
 @pytest.mark.parametrize("command,code,message", PINNED_REFUSALS)
 def test_refusal_prints_one_pinned_line(capsys, command, code, message):
     assert run(capsys, *command.split(" ")) == (code, "", f"error: {message}\n")
+
+
+def test_huge_alpha_still_predicts(capsys):
+    # only the exact counters need the target class in int64
+    code, out, err = run(capsys, *"predict full2 --T 10 --delta 1 --rho 0.5 "
+                                  "--alpha 99999999999999999999".split(" "))
+    assert code == 0 and err == "" and ",100000000000000000004," in out
+
+
+# the contract fuzz: every command on every builtin, each numeric option
+# an ordinary value or, one time in three, an extreme one; depths and
+# periods stay small, so no case scans long
+REAL = ("nan", "inf", "-inf", "5e-324", "-5e-324", "1e300", "-1e300", "0", "-1",
+        "99999999999999999999", "-99999999999999999999")
+INT = ("0", "-1", "9223372036854775808", "99999999999999999999", "-99999999999999999999")
+SMALL = ("0", "-1", "1", "-99999999999999999999")   # extremes of an option kept small
+VECTORS = ("--u", "--rho", "--alpha")
+# option, its ordinary values, its extreme values
+WINDOW = [("--T", ("3", "5"), REAL), ("--delta", ("1", "2"), REAL),
+          ("--rho", ("0.3", "0.1"), REAL), ("--alpha", ("0", "1", "-1"), INT),
+          ("--budget", ("9",), SMALL)]
+GRAMMAR = {
+    "validate": [],
+    "show": [],
+    "pressure": [("--u", ("0.3", "-1"), REAL)],
+    "entropy": [("--rho", ("0.3", "0.1"), REAL)],
+    "hull": [("--n", ("3", "6"), SMALL)],
+    "count": WINDOW,
+    "predict": WINDOW,
+    "sweep": [("--Tmin", ("2", "3"), REAL), ("--Tmax", ("5",), REAL),
+              ("--step", ("0.5", "1"), REAL)] + WINDOW[1:],
+    "margulis": [("--T", ("3", "5"), REAL), ("--budget", ("9",), SMALL)],
+    "chebotarev": [("--mod", ("2", "3"), INT), ("--n", ("5", "9"), SMALL)],
+    "equidist": WINDOW + [("--obs", ("1>2=1",), tuple("1>2=" + x for x in REAL))],
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    model = draw(st.sampled_from(["full2", "goldenmean", "bench3"]))
+    d = 2 if model == "bench3" else 1   # the class dimension
+
+    def value(ordinary, extreme):
+        return draw(st.sampled_from(extreme if draw(st.sampled_from([0, 0, 1])) else ordinary))
+
+    argv = [command, model]
+    for option, *values in GRAMMAR[command]:
+        size = draw(st.sampled_from([d, d, 3 - d])) if option in VECTORS else 1
+        argv += [option, ",".join(value(*values) for _ in range(size))]
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore:.*quotient classes receive no orbit:UserWarning")
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(fuzz_argv())
+def test_contract_holds_on_extreme_values(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return
+    for line in out.splitlines():
+        fields = line.split(",")
+        for i, field in enumerate(fields):
+            for token in re.split(r"[;=\s]+", field):
+                if token.lstrip("-").lower() in ("inf", "nan"):
+                    # only sweep's ratio column reads nan, at a prediction of 0
+                    assert argv[0] == "sweep" and i == len(fields) - 1 and token == "nan"
+
 
 class TestValidate:
     def test_builtin_ok(self, capsys):

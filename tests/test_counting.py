@@ -46,6 +46,7 @@ from orbitflow import (
     integrate_observable,
     jitter_averaged_ratio,
     lattice_length_heuristic,
+    legendre,
     margulis_total,
     membership,
     predict_count,
@@ -360,7 +361,7 @@ class TestScanMemo:
                 built.append(scan)
             return scan
 
-        for module in (graphs, counting, weights, checks):
+        for module in (graphs, counting, weights, checks, legendre):
             monkeypatch.setattr(module, "scan_cycles", counted)
         monkeypatch.setattr(graphs, "_memo", None)
         return built

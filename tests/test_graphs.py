@@ -23,7 +23,7 @@ from orbitflow import (
 )
 from orbitflow.counting import _edge_sums
 
-from conftest import brute_force_prime_cycles, random_strong_graph
+from conftest import brute_force_prime_cycles, random_strong_graph, random_weights
 
 FULL2 = DirectedGraph(2, ((1, 1), (1, 2), (2, 1), (2, 2)))
 GOLDEN = DirectedGraph(2, ((1, 1), (1, 2), (2, 1)))
@@ -222,14 +222,18 @@ class TestEnumerate:
                     assert rot not in seen or rot == c.vertices
                     seen.add(rot)
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, monkeypatch):
+        # in (period, vertex sequence) order as scanned, whatever the block size
         rng = np.random.default_rng(11)
-        graphs = [FULL2, GOLDEN, CYCLE3] + [
+        models = [FULL2, GOLDEN, CYCLE3] + [
             random_strong_graph(rng, int(rng.integers(2, 5))) for _ in range(8)
         ]
-        for g in graphs:
-            got = [c.vertices for c in enumerate_prime_cycles(g, 6)]
-            assert got == brute_force_prime_cycles(g, 6)
+        for g in models:
+            want = brute_force_prime_cycles(g, 6)
+            for block in (4096, 7, 3):
+                monkeypatch.setattr(graphs, "_BLOCK", block)
+                monkeypatch.setattr(graphs, "_memo", None)   # a memo hit would not rescan
+                assert [c.vertices for c in enumerate_prime_cycles(g, 6)] == want
 
     def test_words_and_sums_match_birkhoff(self, bench3):
         g, w = bench3.graph, bench3.weights
@@ -251,17 +255,29 @@ class TestEnumerate:
             assert value == s
 
     def test_block_size_changes_nothing(self, bench3, monkeypatch):
-        g, w = bench3.graph, bench3.weights
-
-        def rows():
-            graphs._memo = None   # a memo hit would not rescan
-            scan = scan_cycles(g, w.roof, w.classes, 14, max_len=9.0)
-            return sorted(zip(map(tuple, scan.words.tolist()), scan.length.tolist(),
-                              map(tuple, scan.classes.tolist())))
-
-        whole = rows()
-        monkeypatch.setattr(graphs, "_BLOCK", 7)
-        assert rows() == whole
+        # the raw arrays, unsorted, are the same at every block size, and
+        # already in (period, vertex sequence) order
+        rng = np.random.default_rng(5)
+        cases = [(bench3.graph, bench3.weights, 14, 9.0)] + [
+            (g, random_weights(rng, g, 2), 7, 5.0)
+            for g in (random_strong_graph(rng, int(rng.integers(2, 6))) for _ in range(12))
+        ]
+        for g, w, n_max, max_len in cases:
+            words = scan_cycles(g, w.roof, w.classes, n_max, max_len=max_len).words
+            exclude = [tuple(x for x in word if x) for word in words[::5].tolist()]
+            scans = []
+            for block in (4096, 7, 3):
+                monkeypatch.setattr(graphs, "_BLOCK", block)
+                monkeypatch.setattr(graphs, "_memo", None)   # a memo hit would not rescan
+                scans.append(scan_cycles(g, w.roof, w.classes, n_max, max_len=max_len,
+                                         exclude=exclude))
+            for scan in scans[1:]:
+                for a, b in zip(vars(scan).values(), vars(scans[0]).values()):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+            scan = scans[0]
+            assert len(scan.period) == len(words) - len(exclude)
+            order = np.lexsort([*scan.words.T[::-1], scan.period])
+            assert np.array_equal(order, np.arange(len(order)))
 
     def test_exclude_and_n_max_checks(self):
         unit, empty = dict.fromkeys(FULL2.edges, 1.0), dict.fromkeys(FULL2.edges, ())
@@ -285,7 +301,6 @@ class TestEnumerate:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0
-        assert all(a.flags.writeable for a in vars(scan.ordered()).values())
         assert scan_cycles(g, w.roof, w.classes, 6, max_len=5.0) is not scan
 
     def test_closed_walk_identity(self):

@@ -24,11 +24,11 @@ from orbitflow import (
     generation_check,
     lattice_length_heuristic,
     linking_numbers,
+    scan_cycles,
     smith_decomposition,
     smith_normal_form,
     weights_from_chords,
 )
-from orbitflow.weights import cycle_sums
 
 from conftest import random_strong_graph, random_weights
 
@@ -396,7 +396,7 @@ def _wide_classes(top):
 
 def test_class_sums_just_inside_int64_match_birkhoff():
     w = _wide_classes((2**63 - 1) // 3)
-    scan = cycle_sums(FULL2, w, 3)
+    scan = scan_cycles(FULL2, w.roof, w.classes, 3)
     want = [list(birkhoff(c, w).class_vector) for c in enumerate_prime_cycles(FULL2, 3)]
     assert scan.classes.tolist() == want
     assert max(map(max, want)) == 3 * ((2**63 - 1) // 3)
@@ -406,6 +406,6 @@ def test_class_sums_just_inside_int64_match_birkhoff():
 def test_class_sums_past_int64_refused(top):
     w = _wide_classes(top)
     with pytest.raises(InvalidArgument, match="int64"):
-        cycle_sums(FULL2, w, 3)
+        scan_cycles(FULL2, w.roof, w.classes, 3)
     with pytest.raises(InvalidArgument, match="int64"):
         generation_check(FULL2, w, 3)
