@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
 
-from .counting import CountQuery, exact_window_count, trace_prime_counts_table
+from .counting import trace_prime_counts_table
 from .graphs import scan_cycles
 from .legendre import entropy_hessian, solve_u
 from .models import builtin_model
@@ -145,34 +146,18 @@ def check_entropy_extremum():
 
 
 def check_oracle_equivalence(n_top: int = 12):
-    """Window counts agree with the walk-trace oracle for all periods
-    <= n_top and all attainable classes, on full2 and goldenmean."""
+    """The scanned prime cycles, counted by (period, class), agree with the
+    walk-trace oracle for all periods <= n_top, on full2 and goldenmean."""
     for model_name in ("full2", "goldenmean"):
         m = builtin_model(model_name)
-        d = m.weights.dimension
         table = trace_prime_counts_table(m.graph, m.weights, n_top)
-        for n in range(1, n_top + 1):
-            # every class the oracle reports, plus a neighborhood of zero,
-            # so that vanishing counts are cross-checked too
-            candidates = set(table[n]) | {(0,) * d}
-            for beta in sorted(candidates):
-                q = CountQuery(T=float(n), delta=1.0, rho=(0.0,) * d, alpha=beta)
-                got = exact_window_count(m.graph, m.weights, q)
-                want = table[n].get(beta, 0)
-                if got != want:
-                    return False, (
-                        f"{model_name}: period {n} class {beta}: "
-                        f"window count {got}, oracle {want}"
-                    )
-        # the oracle's class decomposition must also exhaust each period
+        oracle = Counter({(n, beta): c for n, row in table.items() for beta, c in row.items()})
         scan = scan_cycles(m.graph, m.weights.roof, m.weights.classes, n_top)
-        per_period = np.bincount(scan.period, minlength=n_top + 1)
-        for n in range(1, n_top + 1):
-            if sum(table[n].values()) != per_period[n]:
-                return False, (
-                    f"{model_name}: period {n}: oracle total "
-                    f"{sum(table[n].values())}, enumeration {per_period[n]}"
-                )
+        found = Counter(zip(scan.period.tolist(), map(tuple, scan.classes.tolist())))
+        for n, beta in sorted(oracle.keys() | found.keys()):
+            if found[n, beta] != oracle[n, beta]:
+                return False, (f"{model_name}: period {n} class {beta}: "
+                               f"enumeration {found[n, beta]}, oracle {oracle[n, beta]}")
     return True, f"all periods <= {n_top}, all classes, both models"
 
 

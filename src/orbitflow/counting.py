@@ -6,10 +6,10 @@ pruned by the length bound; the admissible symbolic depth floor(T / r_min)
 is capped, and counts beyond the cap are refused rather than estimated.
 The equilibrium state that ``equidistribution_test`` integrates against
 is likewise solved once per (graph, roof and class of every edge, u).
-When every roof is one integer-valued constant (``full2``,
-``goldenmean``) the total of ``margulis_total`` comes from the walk engine
-below instead, and equals the scan's: sums of integer-valued floats below
-2^53 are exact.
+Window counts, sweeps and totals read one row source, ``_rows``: when
+every roof is one integer-valued constant (``full2``, ``goldenmean``)
+its rows come from the walk engine below instead, and equal the scan's:
+sums of integer-valued floats below 2^53 are exact.
 
 The asymptotic predictor evaluates the window-count growth law for a
 direction rho inside the attainable set: a Gaussian prefactor from the
@@ -27,7 +27,7 @@ stay under 2^62, Python ints from then on.  It inverts them per conjugacy
 class to prime-cycle counts by one Mobius recursion behind one entry,
 ``_walk_primes``, which serves the unit-roof oracle on a box Z^d / diag(S)
 that no class of a walk of at most n steps wraps around, the integer-roof
-total, and the density check over a ``FiniteQuotient`` (integer lattice
+rows, and the density check over a ``FiniteQuotient`` (integer lattice
 or explicit finite group), whose class frequencies approach |C| / |G|.
 """
 
@@ -150,6 +150,28 @@ def _scan(
                        exclude=tuple(c.vertices for c in removed))
 
 
+def _rows(g: DirectedGraph, w: WeightSystem, max_len: float, removed, budget_cap: int, quot=None):
+    """(lengths, classes, multiplicity) of the prime cycles of length <= max_len,
+    removed ones excluded.  On one integer roof eps a row is (n eps, class,
+    Python-int prime count of period n) from the walk engine on the class box
+    or on quot, its keys as classes; otherwise a scanned cycle, multiplicity 1."""
+    eps = w.r_min
+    if eps.is_integer() and max_len < 2**53 and all(r == eps for r in w.roof.values()):
+        n_max = _depth_cap(w, max_len, budget_cap)
+        try:
+            keys, prime = _walk_primes(g, w, n_max, quot, removed)
+        except InvalidArgument:   # the class box passes the quotient limit
+            pass
+        else:
+            lengths = np.repeat(np.arange(1, n_max + 1) * eps, len(keys))
+            mult = np.concatenate(prime)
+            keep = np.flatnonzero((lengths <= max_len) & (mult != 0))
+            classes = np.array(keys, dtype=np.int64)[keep % len(keys)]
+            return lengths[keep], classes, mult[keep].astype(object)
+    scan = _scan(g, w, max_len, removed, budget_cap)
+    return scan.length, scan.classes, np.ones(len(scan.length), dtype=np.int64)
+
+
 def _edge_sums(g: DirectedGraph, words, period, phi: dict) -> np.ndarray:
     """Sum of phi around each cycle, accumulated in word order with the
     closing edge last, as ``birkhoff`` sums; the padding adds exact 0s."""
@@ -162,23 +184,19 @@ def _edge_sums(g: DirectedGraph, words, period, phi: dict) -> np.ndarray:
     return np.cumsum(table[words, heads], axis=1)[:, -1]
 
 
-def _rows_equal(rows, vector, mask) -> np.ndarray:
-    """mask & (rows == vector).all(axis=1), ANDed in place one column at a
-    time: numpy's reduction over a short axis costs more than the compares."""
-    if np.shape(vector) != rows.shape[1:]:
-        raise DimensionMismatch(
-            f"class vector has length {np.size(vector)}, class dimension is {rows.shape[1]}")
-    for i, x in enumerate(vector):
-        mask &= rows[:, i] == x
-    return mask
-
-
 def _in_window(lengths, classes, T, delta, target) -> np.ndarray:
-    """Mask of the cycles with length in (T - delta, T] and class target."""
+    """Mask of the cycles with length in (T - delta, T] and class target,
+    ANDed in place one class column at a time: numpy's reduction over a
+    short axis costs more than the compares."""
     if not all(-2**63 <= int(x) < 2**63 for x in target):
         raise InvalidArgument("the target class passes the int64 range")
-    target = np.asarray(target, dtype=np.int64)
-    return _rows_equal(classes, target, (lengths > T - delta) & (lengths <= T))
+    if np.shape(classes)[1:] != (len(target),):
+        raise DimensionMismatch(
+            f"class vector has length {len(target)}, class dimension is {np.shape(classes)[-1]}")
+    mask = (lengths > T - delta) & (lengths <= T)
+    for i, x in enumerate(target):
+        mask &= classes[:, i] == int(x)
+    return mask
 
 
 def exact_window_count(
@@ -187,8 +205,8 @@ def exact_window_count(
     """Number of prime cycles (not in q.removed) with length in
     (T - delta, T] and class floor(T rho) + alpha."""
     target = target_class(w, q)
-    scan = _scan(g, w, q.T, q.removed, budget_cap)
-    return window_count_from_table(scan.length, scan.classes, q.T, q.delta, target)
+    lengths, classes, mult = _rows(g, w, q.T, q.removed, budget_cap)
+    return int(mult[_in_window(lengths, classes, q.T, q.delta, target)].sum())
 
 
 def cycle_table(
@@ -217,36 +235,26 @@ def margulis_total(
 ) -> MargulisCount:
     """Exact number of prime cycles of length <= T (removed excluded) and
     the growth-law reference e^(hT) / (hT) with h = flow_pressure(0).
-
-    When every roof is one integer-valued eps, an orbit of period n has
-    length n eps, so the count is the walk engine's prime counts over the
-    trivial group for n eps <= T; sums of integers below 2^53 are exact,
-    so it is the scan's count.  Other spectra are scanned.
+    The count sums the rows' multiplicities, on the trivial group if walked.
 
     The reference is the non-lattice (weak-mixing) law, which holds when
     the lengths are not all in one coset of eps * Z.  On a spectrum of
     step eps the ratio exact / reference, taken at T in eps * Z, tends to
     h eps / (1 - e^(-h eps)) instead: 2 log 2 for full2 (Parry &
     Pollicott, Asterisque 187-188, 1990).  A reference past the float
-    range, or with hT at 0, raises NonConvergence.
+    range, because e^(hT) overflows or hT underflows, raises NonConvergence.
     """
     if not (math.isfinite(T) and T > 0):
         raise InvalidArgument(f"need finite T > 0, got T={T}")
-    check_weights_cover(g, w)
-    eps = w.r_min
-    if eps.is_integer() and T < 2**53 and all(r == eps for r in w.roof.values()):
-        n_max = _depth_cap(w, T, budget_cap)
-        _, prime = _walk_primes(g, w, n_max, FiniteQuotient.from_modulus(1, w.dimension), removed)
-        count = sum(int(p[0]) for n, p in enumerate(prime, 1) if n * eps <= T)
-    else:
-        count = len(_scan(g, w, T, removed, budget_cap).period)
+    count = int(_rows(g, w, T, removed, budget_cap, FiniteQuotient.from_modulus(1, w.dimension))[2].sum())
     h = flow_pressure(g, w, np.zeros(w.dimension))
     try:
         reference = math.exp(h * T) / (h * T)
     except (OverflowError, ZeroDivisionError):
         reference = math.inf
     if not math.isfinite(reference):
-        raise NonConvergence(f"the reference e^(hT)/(hT) overflows a float at T = {T:g}")
+        edge = "overflows" if h * T >= np.finfo(float).tiny else "divides by hT, which underflows"
+        raise NonConvergence(f"the reference e^(hT)/(hT) {edge} a float at T = {T:g}")
     return MargulisCount(count, reference)
 
 
@@ -321,17 +329,16 @@ def _walk_primes(g: DirectedGraph, w: WeightSystem, n_max: int, quot=None, remov
     cycle of g subtracted once in its own row.  Without quot it counts on
     the box Z^d / diag(S), S_i = n_max (max(0, max c_i) - min(0, min c_i))
     + 1, which holds every class of a walk of at most n_max steps once and
-    keys each by its class vector; the box requires roof identically 1."""
+    keys each by its class vector, or raises InvalidArgument past the
+    quotient limit.  Roof values are not read."""
     check_weights_cover(g, w)
     require_valid(g)
     if n_max < 1:
         raise InvalidArgument(f"period bound must be >= 1, got {n_max}")
-    if quot is None:
-        if any(r != 1.0 for r in w.roof.values()):
-            raise RoofNotUnit("this oracle requires roof identically 1")
-        c = np.array([w.classes[e] for e in g.edges])
-        lo = n_max * np.minimum(c.min(axis=0), 0)
-        sides = tuple((n_max * np.maximum(c.max(axis=0), 0) - lo + 1).tolist())
+    if quot is None:   # the box sides in Python ints, which cannot wrap
+        columns = list(zip(*(w.classes[e] for e in g.edges)))
+        lo = [n_max * min(0, *x) for x in columns]
+        sides = tuple(n_max * max(0, *x) - m + 1 for x, m in zip(columns, lo))
         quot = FiniteQuotient._mixed_radix(sides, lambda vec: tuple(x % s for x, s in zip(vec, sides)))
         vectors = (np.stack(np.unravel_index(np.arange(quot.order), sides), axis=1) - lo) % sides + lo
         keys = list(map(tuple, vectors.tolist()))
@@ -344,18 +351,20 @@ def _walk_primes(g: DirectedGraph, w: WeightSystem, n_max: int, quot=None, remov
 
 
 def trace_prime_counts_table(g: DirectedGraph, w: WeightSystem, n_max: int):
-    """prime[m][beta] for all m <= n_max, by walk traces and inversion."""
+    """prime[m][beta] for all m <= n_max, by walk traces and inversion; roof must be 1."""
+    if any(r != 1.0 for r in w.roof.values()):
+        raise RoofNotUnit("this oracle requires roof identically 1")
     keys, prime = _walk_primes(g, w, n_max)
     return {m: dict(zip(itertools.compress(keys, (row != 0).tolist()), row[row != 0].tolist()))
             for m, row in enumerate(prime, 1)}
 
 
 def trace_prime_count(g: DirectedGraph, w: WeightSystem, n: int, beta) -> int:
-    """Prime cycles of period n with class beta: one entry of the trace
-    table's inversion.  Requires roof identically 1."""
-    keys, prime = _walk_primes(g, w, n)
-    at = _rows_equal(np.array(keys), [int(x) for x in beta], np.ones(len(keys), dtype=bool))
-    return int(prime[n - 1][at].sum())
+    """Prime cycles of period n with class beta: one entry of the trace table."""
+    beta = tuple(int(x) for x in beta)
+    if len(beta) != w.dimension:
+        raise DimensionMismatch(f"class vector has length {len(beta)}, class dimension is {w.dimension}")
+    return trace_prime_counts_table(g, w, n)[n].get(beta, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +397,20 @@ def predict_count(
     except (OverflowError, ZeroDivisionError):
         predicted = math.inf
     if not math.isfinite(predicted):
-        raise NonConvergence(f"the predicted count overflows a float at T = {q.T:g}")
+        edge = ("overflows" if q.T ** (1.0 + d / 2.0) >= np.finfo(float).tiny
+                else "divides by T^(1 + d/2), which underflows")
+        raise NonConvergence(f"the predicted count {edge} a float at T = {q.T:g}")
     return predicted
 
 
 def _evaluate(g: DirectedGraph, w: WeightSystem, dd: DirectionData, queries, budget_cap: int):
-    """Each query's CountResult, every window counted in place from the one
-    scan at the largest T (queries share removed); ratio nan at a prediction of 0.
-    Lazy: nothing is scanned until the first result is asked for."""
-    scan = _scan(g, w, max(q.T for q in queries), queries[0].removed, budget_cap)
+    """Each query's CountResult, every window counted in place from the rows
+    at the largest T (queries share removed); ratio nan at a prediction of 0.
+    Lazy: nothing is counted until the first result is asked for."""
+    lengths, classes, mult = _rows(g, w, max(q.T for q in queries), queries[0].removed, budget_cap)
     for q in queries:
         target = target_class(w, q)
-        exact = window_count_from_table(scan.length, scan.classes, q.T, q.delta, target)
+        exact = int(mult[_in_window(lengths, classes, q.T, q.delta, target)].sum())
         predicted = predict_count(g, w, dd, q)
         ratio = exact / predicted if predicted > 0 else float("nan")
         yield CountResult(exact, predicted, ratio, target)
@@ -463,6 +474,10 @@ def jitter_averaged_ratio(
 # finite quotients and the density check
 
 def _check_order(order: int) -> None:
+    if order > 10**12:   # a long order is named by its digit count
+        digits = round(math.log10(order))
+        digits += order >= 10**digits
+        raise InvalidArgument(f"quotient order of {digits} digits too large to tabulate, limit 100000")
     if order > 100_000:
         raise InvalidArgument(f"quotient order {order} too large to tabulate")
 

@@ -4,11 +4,13 @@ import contextlib
 import io
 import math
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitflow import builtin_model, serialize_model
 from orbitflow.cli import main
 
 SAMPLE = """\
@@ -78,6 +80,9 @@ def test_bad_input_exits_2_with_one_error_line(capsys, command):
 # refusals pinned to their one line: (command, exit code, message)
 PINNED_REFUSALS = (
     ("chebotarev bench3 --mod 400 --n 5", 2, "quotient order 160000 too large to tabulate"),
+    # an order past 12 digits is named by its digit count
+    ("chebotarev bench3 --mod 99999999999999999999 --n 5", 2,
+     "quotient order of 40 digits too large to tabulate, limit 100000"),
     ("count full2 --T 10 --delta 1 --rho 0.5,0.5 --alpha 0", 2,
      "rho and alpha must have the same length"),
     # the growth law e^(hT) past the float range
@@ -85,13 +90,13 @@ PINNED_REFUSALS = (
      "the predicted count overflows a float at T = 1100"),
     ("margulis full2 --T 1030 --budget 1100", 3,
      "the reference e^(hT)/(hT) overflows a float at T = 1030"),
-    # ... and at a T so small that hT or T^(1 + d/2) is 0
+    # ... and at a T so small that hT or T^(1 + d/2) underflows
     ("margulis goldenmean --T 5e-324", 3,
-     "the reference e^(hT)/(hT) overflows a float at T = 4.94066e-324"),
+     "the reference e^(hT)/(hT) divides by hT, which underflows a float at T = 4.94066e-324"),
     ("margulis bench3 --T 5e-324", 3,
-     "the reference e^(hT)/(hT) overflows a float at T = 4.94066e-324"),
+     "the reference e^(hT)/(hT) divides by hT, which underflows a float at T = 4.94066e-324"),
     ("predict full2 --T 5e-324 --delta 5e-324 --rho 0.5 --alpha 0", 3,
-     "the predicted count overflows a float at T = 4.94066e-324"),
+     "the predicted count divides by T^(1 + d/2), which underflows a float at T = 4.94066e-324"),
     # a direction so far out that the Newton products overflow
     ("entropy full2 --rho 1e300", 3, "line search stalled with gradient norm 1e+300"),
 )
@@ -140,7 +145,7 @@ GRAMMAR = {
 @st.composite
 def fuzz_argv(draw):
     command = draw(st.sampled_from(sorted(GRAMMAR)))
-    model = draw(st.sampled_from(["full2", "goldenmean", "bench3"]))
+    model = draw(st.sampled_from(["full2", "goldenmean", "bench3", "roof2"]))
     d = 2 if model == "bench3" else 1   # the class dimension
 
     def value(ordinary, extreme):
@@ -153,10 +158,19 @@ def fuzz_argv(draw):
     return argv
 
 
+@pytest.fixture(scope="session")
+def roof2(tmp_path_factory):
+    """full2's graph with every roof 2.0: windows walked with a roof other than 1."""
+    path = tmp_path_factory.mktemp("models") / "roof2.model"
+    path.write_text(serialize_model(builtin_model("full2")).replace("roof=1.0", "roof=2.0"))
+    return str(path)
+
+
 @pytest.mark.filterwarnings("ignore:.*quotient classes receive no orbit:UserWarning")
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
-@given(fuzz_argv())
-def test_contract_holds_on_extreme_values(argv):
+@given(argv=fuzz_argv())
+def test_contract_holds_on_extreme_values(roof2, argv):
+    argv = [roof2 if a == "roof2" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -431,6 +445,28 @@ def test_class_sums_past_int64_exit_2(tmp_path, capsys, command, entry):
     assert code == 2 and out == ""
     assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
     assert "int64" in err
+
+
+def test_class_box_past_the_quotient_limit_counts_by_the_scan(tmp_path, capsys):
+    # unit roofs, but a class box of 3 * 10^6 + 1 classes: the scan counts
+    # the one cycle (1,2,2) of class 2 * 10^6
+    p = tmp_path / "wide.model"
+    p.write_text(SAMPLE.replace("2 roof=1.0 class=1", "2 roof=1.0 class=1000000"))
+    code, out, err = run(capsys, *f"count {p} --T 3 --delta 3 --rho 0 --alpha 2000000".split(" "))
+    assert (code, err) == (0, "") and out.splitlines()[1] == "3.0,3.0,2000000,1"
+
+
+def test_unit_roof_k5_counts_by_closed_walks(tmp_path, capsys):
+    # the complete graph on 5 vertices: the prime cycles of period 16 are
+    # the aperiodic 5-ary necklaces, (5^16 - 5^8) / 16, far past what a
+    # scan could list
+    p = tmp_path / "k5.model"
+    p.write_text("[model]\nname = k5\nb = 1\nn_removed = 0\nvertices = 5\n" + "".join(
+        f"[edge] from={a} to={b} roof=1.0 class=0\n" for a in range(1, 6) for b in range(1, 6)))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *f"count {p} --T 16 --delta 1 --rho 0 --alpha 0".split(" "))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, err) == (0, "") and out.splitlines()[1] == f"16.0,1.0,0,{(5**16 - 5**8) // 16}"
 
 
 # a value whose first component is negative, given as its own argument,

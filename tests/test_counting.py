@@ -1,6 +1,7 @@
 """Window counts, the walk-trace oracle, the asymptotic predictor,
 quotient densities, and equidistribution."""
 
+import contextlib
 import itertools
 import math
 import re
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from orbitflow import (
     BudgetExceeded,
     CountQuery,
+    DegenerateModel,
     DimensionMismatch,
     DirectedGraph,
     DirectionData,
@@ -80,6 +82,8 @@ QUOTIENT_REFUSALS = {
                        InvalidArgument, "multiplication table has non-invertible elements"),
     "unlabelled edge": (lambda: chebotarev_distribution(FULL2, into2(), (), _unlabelled(), 3),
                         MissingEdgeValue, "no group label on edge (2, 2)"),
+    "order of 301 digits": (lambda: FiniteQuotient.from_modulus(10**300, 1), InvalidArgument,
+                            "quotient order of 301 digits too large to tabulate, limit 100000"),
 }
 
 
@@ -276,9 +280,9 @@ def test_counters_match_brute_force_on_random_models(seed, k, d, data):
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), data=st.data())
 def test_lattice_total_matches_scan_and_brute_force(seed, k, data):
     """Roofs in {1, 2, 3}, half the time one value on every edge: the
-    total comes from the walk engine exactly when every roof is the same,
-    and equals both the scan called directly and the brute-force
-    enumeration."""
+    total, the windows and the sweep come from the walk engine exactly
+    when every roof is the same, and equal both the scan and the
+    brute-force enumeration."""
     rng = np.random.default_rng(seed)
     g = random_strong_graph(rng, k, ensure_aperiodic=True)
     w = random_weights(rng, g, 1)
@@ -288,25 +292,48 @@ def test_lattice_total_matches_scan_and_brute_force(seed, k, data):
     T = data.draw(st.floats(1.0, 9.0))
     depth = max(int(math.floor(T / w.r_min)), 1)
     assume(k**depth <= 20_000)  # keeps the brute force small
-    brute = {c: birkhoff(PrimeCycle(c), w).length for c in brute_force_prime_cycles(g, depth)}
+    brute = {c: birkhoff(PrimeCycle(c), w) for c in brute_force_prime_cycles(g, depth)}
     drawn = data.draw(st.lists(st.sampled_from(sorted(brute)), max_size=3))
     absent = sorted(set(itertools.product(range(1, k + 2), repeat=2)) - g.edge_set)[0]
     not_a_cycle = PrimeCycle(absent[:1] if absent[0] == absent[1] else absent)
     removed = tuple(PrimeCycle(c) for c in drawn + drawn[:1]) + (not_a_cycle,)
-    kept = [c for c, length in brute.items() if length <= T and c not in drawn]
+    kept = [brute[c] for c in brute if brute[c].length <= T and c not in drawn]
 
     lattice = len(set(roof.values())) == 1
-    scans = []
+    # windows one roof wide on the half-roof grid up to T, and the window
+    # (0, T], for every class a kept cycle has and the class 0
+    step = w.r_min / 2
+    grid = [step * j for j in range(1, int(T / step) + 1)] + [T]
+    betas = sorted({b.class_vector for b in kept} | {(0,)})
+    queries = [CountQuery(T=t, delta=delta, rho=(0.0,), alpha=beta, removed=removed)
+               for t, delta in [(t, min(2 * step, t)) for t in grid] + [(T, T)] for beta in betas]
+    rho = tuple(pressure_gradient(g, w, [0.0]))   # interior, for the sweep's dual solve
+    scans, rows = [], []
     real = counting.scan_cycles
     counting.scan_cycles = lambda *a, **kw: scans.append(a) or real(*a, **kw)
     try:
         total = margulis_total(g, w, removed, T).exact
         below = margulis_total(g, w, removed, 0.5 * w.r_min).exact
+        if lattice:
+            windows = [exact_window_count(g, w, q) for q in queries]
+            with contextlib.suppress(DegenerateModel):   # no interior direction to sweep at
+                rows = sweep(g, w, rho, (0,), 2 * step, [t for t in grid if t >= 2 * step],
+                             removed=removed)
     finally:
         counting.scan_cycles = real
     assert (scans == []) is lattice
     assert total == len(kept) == len(counting._scan(g, w, T, removed, 32).period)
     assert below == 0
+    if lattice:
+        table = cycle_table(g, w, T, removed=removed)
+
+        def want(t, delta, beta):   # the window by the scan's table and by brute force
+            count = window_count_from_table(*table, t, delta, beta)
+            assert count == sum(t - delta < b.length <= t and b.class_vector == beta for b in kept)
+            return count
+
+        assert windows == [want(q.T, q.delta, q.alpha) for q in queries]
+        assert [r.exact for r in rows] == [want(r.T, r.delta, r.target_class) for r in rows]
 
 
 def test_lattice_total_refuses_what_the_scan_refuses():
@@ -645,6 +672,13 @@ class TestTraceOracle:
     def test_nonpositive_period_bound_rejected(self, n):
         with pytest.raises(InvalidArgument, match=f"^period bound must be >= 1, got {n}$"):
             trace_prime_counts_table(FULL2, into2(), n)
+
+    def test_box_past_the_quotient_limit_refused(self):
+        # a side of 3 * 3 * 2^60 + 1 wraps in int64; in Python ints the box is refused
+        big = {**into2().classes, (1, 2): (3 * 2**60,), (2, 2): (3 * 2**60,)}
+        w = WeightSystem(0, 1, into2().roof, big)
+        with pytest.raises(InvalidArgument, match="^quotient order of 20 digits too large"):
+            trace_prime_counts_table(FULL2, w, 3)
 
     def test_class_walks_box_past_int64_against_the_necklace_formula(self, bench3):
         # the trace table as the class_walks benchmark builds it: loop
