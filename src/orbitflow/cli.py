@@ -260,10 +260,12 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, model=True):
+    def add(name, fn, model=True, budget=False):
         p = sub.add_parser(name)
         if model:
             p.add_argument("model", help="builtin name (full2, goldenmean, bench3) or model file path")
+        if budget:   # the exact counters' symbolic depth cap
+            p.add_argument("--budget", type=int, default=32)
         p.set_defaults(fn=fn)
         return p
 
@@ -279,10 +281,10 @@ def main(argv=None) -> int:
     p = add("hull", cmd_hull)
     p.add_argument("--n", type=int, required=True)
 
-    def window(name, fn, *, grid=False):
+    def window(name, fn, *, grid=False, budget=True):
         """A command over the window (T - delta, T] and the class
         floor(T rho) + alpha; grid takes a T range in place of one T."""
-        p = add(name, fn)
+        p = add(name, fn, budget=budget)
         if grid:
             p.add_argument("--Tmin", type=float, required=True)
             p.add_argument("--Tmax", type=float, required=True)
@@ -293,16 +295,14 @@ def main(argv=None) -> int:
             p.add_argument("--delta", type=float, required=True)
         p.add_argument("--rho", required=True)
         p.add_argument("--alpha", required=True)
-        p.add_argument("--budget", type=int, default=32)
         return p
 
     window("count", cmd_count)
-    window("predict", cmd_predict)
+    window("predict", cmd_predict, budget=False)
     window("sweep", cmd_sweep, grid=True)
 
-    p = add("margulis", cmd_margulis)
+    p = add("margulis", cmd_margulis, budget=True)
     p.add_argument("--T", type=float, required=True)
-    p.add_argument("--budget", type=int, default=32)
 
     p = add("chebotarev", cmd_chebotarev)
     p.add_argument("--mod", type=int)

@@ -50,10 +50,10 @@ from .errors import (
     NonConvergence,
     RoofNotUnit,
 )
-from .graphs import CycleScan, DirectedGraph, PrimeCycle, require_valid, scan_cycles
+from .graphs import CycleScan, DirectedGraph, PrimeCycle, require_valid, require_values, scan_cycles
 from .legendre import DirectionData, entropy_hessian, solve_u
 from .thermo import equilibrium_measure, flow_pressure, integrate_observable
-from .weights import WeightSystem, check_weights_cover, smith_decomposition
+from .weights import WeightSystem, require_dimension, smith_decomposition
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,7 @@ def floor_class(rho, T: float) -> tuple[int, ...]:
 def target_class(w: WeightSystem, q: CountQuery) -> tuple[int, ...]:
     """The class q counts, floor(T rho) + alpha; rho must have the class
     dimension of w."""
-    if len(q.rho) != w.dimension:
-        raise DimensionMismatch(
-            f"rho has length {len(q.rho)}, class dimension is {w.dimension}"
-        )
+    require_dimension("rho", len(q.rho), w.dimension)
     return tuple(f + a for f, a in zip(floor_class(q.rho, q.T), q.alpha))
 
 
@@ -150,14 +147,16 @@ def _scan(
                        exclude=tuple(c.vertices for c in removed))
 
 
-def _rows(g: DirectedGraph, w: WeightSystem, max_len: float, removed, budget_cap: int, quot=None):
+def _rows(g: DirectedGraph, w: WeightSystem, max_len: float, removed, budget_cap: int, total=False):
     """(lengths, classes, multiplicity) of the prime cycles of length <= max_len,
     removed ones excluded.  On one integer roof eps a row is (n eps, class,
-    Python-int prime count of period n) from the walk engine on the class box
-    or on quot, its keys as classes; otherwise a scanned cycle, multiplicity 1."""
+    Python-int prime count of period n) from the walk engine on the class box,
+    or for a total on the trivial group, its keys as classes; otherwise a
+    scanned cycle, multiplicity 1."""
     eps = w.r_min
     if eps.is_integer() and max_len < 2**53 and all(r == eps for r in w.roof.values()):
         n_max = _depth_cap(w, max_len, budget_cap)
+        quot = FiniteQuotient.from_modulus(1, w.dimension) if total else None
         try:
             keys, prime = _walk_primes(g, w, n_max, quot, removed)
         except InvalidArgument:   # the class box passes the quotient limit
@@ -246,7 +245,7 @@ def margulis_total(
     """
     if not (math.isfinite(T) and T > 0):
         raise InvalidArgument(f"need finite T > 0, got T={T}")
-    count = int(_rows(g, w, T, removed, budget_cap, FiniteQuotient.from_modulus(1, w.dimension))[2].sum())
+    count = int(_rows(g, w, T, removed, budget_cap, total=True)[2].sum())
     h = flow_pressure(g, w, np.zeros(w.dimension))
     try:
         reference = math.exp(h * T) / (h * T)
@@ -331,7 +330,7 @@ def _walk_primes(g: DirectedGraph, w: WeightSystem, n_max: int, quot=None, remov
     + 1, which holds every class of a walk of at most n_max steps once and
     keys each by its class vector, or raises InvalidArgument past the
     quotient limit.  Roof values are not read."""
-    check_weights_cover(g, w)
+    require_values(g.edge_set, w.roof)
     require_valid(g)
     if n_max < 1:
         raise InvalidArgument(f"period bound must be >= 1, got {n_max}")
@@ -362,8 +361,7 @@ def trace_prime_counts_table(g: DirectedGraph, w: WeightSystem, n_max: int):
 def trace_prime_count(g: DirectedGraph, w: WeightSystem, n: int, beta) -> int:
     """Prime cycles of period n with class beta: one entry of the trace table."""
     beta = tuple(int(x) for x in beta)
-    if len(beta) != w.dimension:
-        raise DimensionMismatch(f"class vector has length {len(beta)}, class dimension is {w.dimension}")
+    require_dimension("class vector", len(beta), w.dimension)
     return trace_prime_counts_table(g, w, n)[n].get(beta, 0)
 
 
@@ -397,7 +395,7 @@ def predict_count(
     except (OverflowError, ZeroDivisionError):
         predicted = math.inf
     if not math.isfinite(predicted):
-        edge = ("overflows" if q.T ** (1.0 + d / 2.0) >= np.finfo(float).tiny
+        edge = ("overflows" if (1.0 + d / 2.0) * math.log(q.T) >= math.log(np.finfo(float).tiny)
                 else "divides by T^(1 + d/2), which underflows")
         raise NonConvergence(f"the predicted count {edge} a float at T = {q.T:g}")
     return predicted
@@ -676,9 +674,7 @@ def equidistribution_test(
     """Average of the per-orbit time averages of phi over the window/class
     selection, against the equilibrium-state expectation at dd.u, whose
     root ``pressure_jet`` keeps for the next call at the same direction."""
-    missing = g.edge_set - set(phi)
-    if missing:
-        raise MissingEdgeValue(f"observable undefined on edges: {sorted(missing)}")
+    require_values(g.edge_set, phi, observable=True)
     target = target_class(w, q)
     phi_vals = {e: float(v) for e, v in phi.items()}
     scan = _scan(g, w, q.T, q.removed, budget_cap)

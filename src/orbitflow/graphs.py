@@ -27,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidGraph, MissingEdge, MissingEdgeWeight, NotPrimitive
+from .errors import (InvalidArgument, InvalidGraph, MissingEdge, MissingEdgeValue,
+                     MissingEdgeWeight, NotPrimitive)
 
 Edge = tuple[int, int]
 
@@ -154,6 +155,16 @@ def require_valid(g: DirectedGraph) -> None:
         raise InvalidGraph("; ".join(problems))
 
 
+def require_values(edges, values, *, observable=False) -> None:
+    """Refuse, naming every one in one line, the edges that ``values`` (a
+    dict or set of edges) has no weight for, or no observable value."""
+    missing = frozenset(edges).difference(values)
+    if missing and observable:
+        raise MissingEdgeValue(f"observable undefined on edges: {sorted(missing)}")
+    if missing:
+        raise MissingEdgeWeight(f"edges without weights: {sorted(missing)}")
+
+
 def is_primitive_pattern(pattern) -> bool:
     """True iff some power of the square 0/1 pattern is entrywise positive;
     by Wielandt's bound (k-1)^2 + 1, repeated squaring up to it decides.
@@ -176,12 +187,10 @@ def is_aperiodic(g: DirectedGraph) -> bool:
 def canonical_form(g: DirectedGraph, vertex_sequence) -> PrimeCycle:
     """Canonical representative of a cyclic vertex sequence on g.
 
-    Raises MissingEdge if a (cyclic) transition is absent and NotPrimitive
-    if the sequence is a proper power of a shorter one.
+    Raises MissingEdge if a (cyclic) transition is absent; ``PrimeCycle``
+    refuses an empty sequence and a proper power of a shorter one.
     """
     seq = tuple(int(v) for v in vertex_sequence)
-    if not seq:
-        raise InvalidArgument("empty vertex sequence")
     n = len(seq)
     for m in range(n):
         a, b = seq[m], seq[(m + 1) % n]
@@ -227,9 +236,7 @@ def scan_cycles(
     exclude.
     """
     global _memo
-    missing = g.edge_set - (roof.keys() & classes.keys())
-    if missing:
-        raise MissingEdgeWeight(f"edges without weights: {sorted(missing)}")
+    require_values(g.edge_set, roof.keys() & classes.keys())
     edges = sorted(g.edge_set)
     exclude = tuple(exclude)
     key = g, [(roof[e], classes[e]) for e in edges], n_max, float(max_len), exclude

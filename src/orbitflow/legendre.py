@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (DegenerateModel, DimensionMismatch, EmptySelection, NonConvergence,
                      OutsideCone, SingularHessian)
 from .graphs import DirectedGraph, require_valid, scan_cycles
-from .weights import WeightSystem
+from .weights import WeightSystem, require_dimension
 from .thermo import edge_arrays, pair_jet, pressure_jet
 
 
@@ -159,8 +159,7 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
     """
     rho = np.asarray(rho, dtype=float).reshape(-1)
     d = w.dimension
-    if rho.shape != (d,):
-        raise DimensionMismatch(f"rho has length {rho.shape[0]}, class dimension is {d}")
+    require_dimension("rho", len(rho), d)
     r, c = edge_arrays(g, w)
 
     u = np.zeros(d)

@@ -21,15 +21,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidArgument,
-    MissingEdgeValue,
-    NonConvergence,
-    NotPrimitive,
-)
-from .graphs import DirectedGraph, Edge, is_primitive_pattern, require_valid
-from .weights import WeightSystem, check_weights_cover
+from .errors import InvalidArgument, NonConvergence, NotPrimitive
+from .graphs import DirectedGraph, Edge, is_primitive_pattern, require_valid, require_values
+from .weights import WeightSystem, require_dimension
 
 @dataclass(frozen=True)
 class PerronData:
@@ -60,7 +54,7 @@ def edge_arrays(g: DirectedGraph, w: WeightSystem) -> tuple[np.ndarray, np.ndarr
     """Roof R[i-1, j-1] and class C[i-1, j-1, :] of each edge i -> j of a
     valid graph, 0 off the edges; R > 0 is the adjacency pattern."""
     require_valid(g)
-    check_weights_cover(g, w)
+    require_values(g.edge_set, w.roof)
     k = g.vertex_count
     r = np.zeros((k, k))
     c = np.zeros((k, k, w.dimension))
@@ -72,10 +66,7 @@ def edge_arrays(g: DirectedGraph, w: WeightSystem) -> tuple[np.ndarray, np.ndarr
 
 def _as_u(c: np.ndarray, u) -> np.ndarray:
     u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape != (c.shape[2],):
-        raise DimensionMismatch(
-            f"u has length {u.shape[0]}, class dimension is {c.shape[2]}"
-        )
+    require_dimension("u", len(u), c.shape[2])
     return u
 
 
@@ -301,11 +292,10 @@ def pressure_hessian(g: DirectedGraph, w: WeightSystem, u) -> np.ndarray:
 def integrate_observable(mm: MarkovMeasure, w: WeightSystem, phi: dict) -> float:
     """Time average of a per-edge observable under the suspension of the
     Markov measure: (sum m(e) phi(e)) / (sum m(e) roof(e))."""
+    require_values(mm.edge_measure, phi, observable=True)
     num = 0.0
     den = 0.0
     for e, weight in mm.edge_measure.items():
-        if e not in phi:
-            raise MissingEdgeValue(f"observable undefined on edge {e}")
         num += weight * float(phi[e])
         den += weight * w.roof[e]
     return num / den

@@ -27,10 +27,28 @@ from .errors import (
     InvalidArgument,
     InvalidTree,
     MissingChordValue,
-    MissingEdgeWeight,
     NoMeridians,
 )
-from .graphs import DirectedGraph, Edge, PrimeCycle, is_primitive_pattern, scan_cycles
+from .graphs import (DirectedGraph, Edge, PrimeCycle, is_primitive_pattern, require_values,
+                     scan_cycles)
+
+
+def require_dimension(name: str, length: int, d: int, edge=None) -> None:
+    """Refuse a vector, called name (on edge, if given), whose length is
+    not the class dimension d."""
+    if length != d:
+        where = "" if edge is None else f" on edge {edge}"
+        raise DimensionMismatch(f"{name}{where} has length {length}, class dimension is {d}")
+
+
+def _edge_vectors(values: dict, d: int, name: str) -> dict[Edge, tuple[int, ...]]:
+    """values with integer edge keys and integer vectors, each of length d."""
+    out = {}
+    for e, vec in values.items():
+        vec = tuple(int(x) for x in vec)
+        require_dimension(name, len(vec), d, e)
+        out[(int(e[0]), int(e[1]))] = vec
+    return out
 
 
 @dataclass(frozen=True)
@@ -58,14 +76,7 @@ class WeightSystem:
             if not 0.0 < r < math.inf:
                 raise InvalidArgument(f"roof must be positive and finite, got {r} on edge {e}")
             roof[(int(e[0]), int(e[1]))] = r
-        classes = {}
-        for e, vec in self.classes.items():
-            vec = tuple(int(x) for x in vec)
-            if len(vec) != d:
-                raise DimensionMismatch(
-                    f"class vector on edge {e} has length {len(vec)}, expected {d}"
-                )
-            classes[(int(e[0]), int(e[1]))] = vec
+        classes = _edge_vectors(self.classes, d, "class vector")
         if set(roof) != set(classes):
             raise InvalidArgument("roof and classes must cover the same edges")
         object.__setattr__(self, "b", b)
@@ -96,15 +107,8 @@ class ChordAssignment:
         object.__setattr__(
             self, "tree_edges", tuple((int(a), int(b)) for a, b in self.tree_edges)
         )
-        vals = {}
-        for e, vec in self.chord_values.items():
-            vec = tuple(int(x) for x in vec)
-            if len(vec) != self.dimension:
-                raise DimensionMismatch(
-                    f"chord value on edge {e} has length {len(vec)}, expected {self.dimension}"
-                )
-            vals[(int(e[0]), int(e[1]))] = vec
-        object.__setattr__(self, "chord_values", vals)
+        object.__setattr__(self, "chord_values",
+                           _edge_vectors(self.chord_values, self.dimension, "chord value"))
 
 
 @dataclass(frozen=True)
@@ -160,16 +164,13 @@ def weights_from_chords(g: DirectedGraph, ca: ChordAssignment) -> dict[Edge, tup
 
 def birkhoff(c: PrimeCycle, w: WeightSystem) -> BirkhoffData:
     """Total roof and summed class vector around the cycle."""
-    d = w.dimension
+    edges = c.edges()
+    require_values(edges, w.roof)
     total = 0.0
-    vec = [0] * d
-    for e in c.edges():
-        if e not in w.roof:
-            raise MissingEdgeWeight(f"edge {e} carries no weight")
+    vec = [0] * w.dimension
+    for e in edges:
         total += w.roof[e]
-        cv = w.classes[e]
-        for i in range(d):
-            vec[i] += cv[i]
+        vec = [x + y for x, y in zip(vec, w.classes[e])]
     return BirkhoffData(total, tuple(vec))
 
 
@@ -267,12 +268,6 @@ def _smith(m, rows, cols):
         while not settle(t):
             pass
     return [m[i][i] for i in range(min(rows, cols))]
-
-
-def check_weights_cover(g: DirectedGraph, w: WeightSystem) -> None:
-    missing = g.edge_set - set(w.roof)
-    if missing:
-        raise MissingEdgeWeight(f"edges without weights: {sorted(missing)}")
 
 
 def generation_check(g: DirectedGraph, w: WeightSystem, n_probe: int) -> GenerationCheck:

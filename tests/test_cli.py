@@ -97,6 +97,9 @@ PINNED_REFUSALS = (
      "the reference e^(hT)/(hT) divides by hT, which underflows a float at T = 4.94066e-324"),
     ("predict full2 --T 5e-324 --delta 5e-324 --rho 0.5 --alpha 0", 3,
      "the predicted count divides by T^(1 + d/2), which underflows a float at T = 4.94066e-324"),
+    # ... and at a T whose power T^(1 + d/2) itself overflows
+    ("predict full2 --T 1e300 --delta 1 --rho 0.5 --alpha 0", 3,
+     "the predicted count overflows a float at T = 1e+300"),
     # a direction so far out that the Newton products overflow
     ("entropy full2 --rho 1e300", 3, "line search stalled with gradient norm 1e+300"),
 )
@@ -133,7 +136,7 @@ GRAMMAR = {
     "entropy": [("--rho", ("0.3", "0.1"), REAL)],
     "hull": [("--n", ("3", "6"), SMALL)],
     "count": WINDOW,
-    "predict": WINDOW,
+    "predict": WINDOW[:-1],   # predict has no depth cap, so no --budget
     "sweep": [("--Tmin", ("2", "3"), REAL), ("--Tmax", ("5",), REAL),
               ("--step", ("0.5", "1"), REAL)] + WINDOW[1:],
     "margulis": [("--T", ("3", "5"), REAL), ("--budget", ("9",), SMALL)],
