@@ -50,7 +50,8 @@ from .errors import (
     NonConvergence,
     RoofNotUnit,
 )
-from .graphs import CycleScan, DirectedGraph, PrimeCycle, require_valid, require_values, scan_cycles
+from .graphs import (CycleScan, DirectedGraph, PrimeCycle, edge_table, require_roofs,
+                     require_valid, require_values, scan_cycles)
 from .legendre import DirectionData, entropy_hessian, solve_u
 from .thermo import equilibrium_measure, flow_pressure, integrate_observable
 from .weights import WeightSystem, require_dimension, smith_decomposition
@@ -128,6 +129,7 @@ def target_class(w: WeightSystem, q: CountQuery) -> tuple[int, ...]:
 def _depth_cap(w: WeightSystem, max_len: float, budget_cap: int) -> int:
     if not math.isfinite(max_len):
         raise InvalidArgument(f"need a finite length bound, got {max_len}")
+    require_roofs(w.roof)
     depth = int(math.floor(max_len / w.r_min))
     if depth > budget_cap:
         raise BudgetExceeded(
@@ -174,9 +176,7 @@ def _rows(g: DirectedGraph, w: WeightSystem, max_len: float, removed, budget_cap
 def _edge_sums(g: DirectedGraph, words, period, phi: dict) -> np.ndarray:
     """Sum of phi around each cycle, accumulated in word order with the
     closing edge last, as ``birkhoff`` sums; the padding adds exact 0s."""
-    table = np.zeros((g.vertex_count + 1,) * 2)
-    for e in g.edge_set:
-        table[e] = phi[e]
+    table = edge_table(g, phi)
     words = words.astype(np.intp)
     heads = np.roll(words, -1, axis=1)
     heads[np.arange(len(words)), period - 1] = words[:, 0]
@@ -524,10 +524,7 @@ class FiniteQuotient:
 
         def reduce(vec):
             vec = [int(x) for x in vec]
-            if len(vec) != d:
-                raise DimensionMismatch(
-                    f"class vector has length {len(vec)}, lattice dimension {d}"
-                )
+            require_dimension("class vector", len(vec), d)
             return tuple(sum(a * b for a, b in zip(row, vec)) % s for row, s in zip(u, diag))
 
         return cls._mixed_radix(tuple(diag), reduce)

@@ -1,6 +1,7 @@
 """Directed coding graphs and canonical enumeration of prime cycles.
 
-Vertices are the integers 1..k throughout.  A prime cycle is a primitive
+Vertices are the integers 1..k throughout; ``edge_table`` is the one layout
+of per-edge data, indexed by vertex label.  A prime cycle is a primitive
 periodic vertex sequence stored as the lexicographically minimal rotation,
 so every periodic orbit of the edge shift has exactly one representative.
 
@@ -27,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (InvalidArgument, InvalidGraph, MissingEdge, MissingEdgeValue,
-                     MissingEdgeWeight, NotPrimitive)
+from .errors import (DimensionMismatch, InvalidArgument, InvalidGraph, MissingEdge,
+                     MissingEdgeValue, MissingEdgeWeight, NotPrimitive)
 
 Edge = tuple[int, int]
 
@@ -75,21 +76,27 @@ class DirectedGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edge_set
 
-    @cached_property
-    def _succ(self) -> tuple[tuple[int, ...], ...]:
-        out = [[] for _ in range(self.vertex_count + 1)]
-        for (a, b) in self.edge_set:
-            if 1 <= a <= self.vertex_count and 1 <= b <= self.vertex_count:
-                out[a].append(b)
-        return tuple(tuple(sorted(s)) for s in out)
-
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix, entry [i-1, j-1] for the edge i -> j."""
-        k = self.vertex_count
-        a = np.zeros((k, k), dtype=np.int64)
-        for (i, j) in self.edge_set:
-            a[i - 1, j - 1] = 1
-        return a
+        return edge_table(self, dict.fromkeys(self.edge_set, 1), np.int64)[1:, 1:]
+
+
+def edge_table(g: DirectedGraph, values, dtype=float) -> np.ndarray:
+    """The (k + 1, k + 1, *value shape) array with values[(a, b)] at [a, b]
+    on each edge a -> b of g and 0 elsewhere.  A value whose shape is not
+    the first edge's, in sorted order, raises DimensionMismatch."""
+    edges = sorted(g.edge_set)
+    try:
+        vals = np.array([values[e] for e in edges], dtype=dtype)
+    except ValueError:   # values of unequal shapes, or not numbers
+        shape = np.shape(values[edges[0]])
+        for e in edges:
+            if (other := np.shape(values[e])) != shape:
+                raise DimensionMismatch(f"value on edge {e} has shape {other}, not {shape}") from None
+        raise
+    out = np.zeros((g.vertex_count + 1,) * 2 + vals.shape[1:], dtype=dtype)
+    out[[a for a, _ in edges], [b for _, b in edges]] = vals
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,6 +170,14 @@ def require_values(edges, values, *, observable=False) -> None:
         raise MissingEdgeValue(f"observable undefined on edges: {sorted(missing)}")
     if missing:
         raise MissingEdgeWeight(f"edges without weights: {sorted(missing)}")
+
+
+def require_roofs(roof: dict) -> None:
+    """Refuse a roof that is not positive and finite on every edge of the
+    dict; callers check where they read it, as it can be edited in place."""
+    for e, r in roof.items():
+        if not 0.0 < r < math.inf:
+            raise InvalidArgument(f"roof must be positive and finite, got {r} on edge {e}")
 
 
 def is_primitive_pattern(pattern) -> bool:
@@ -244,6 +259,7 @@ def scan_cycles(
         return _memo[1]
     _memo = None  # frees the old scan before the new one is built
     require_valid(g)
+    require_roofs(roof)
     if n_max < 1:
         raise InvalidArgument(f"n_max must be >= 1, got {n_max}")
     top = max((abs(int(x)) for e in edges for x in classes[e]), default=0)
@@ -251,24 +267,17 @@ def scan_cycles(
         raise InvalidArgument(f"class entries up to {top} summed over {n_max} "
                               f"edges can pass the int64 range")
     k = g.vertex_count
-    # edge tables indexed by (k + 1) * tail + head
-    flat = [(k + 1) * a + b for a, b in edges]
-
-    def table(values, dtype=float):
-        out = np.zeros(((k + 1) ** 2,) + np.shape(values[edges[0]]), dtype=dtype)
-        out[flat] = [values[e] for e in edges]
-        return out
-
-    has_edge = table(dict.fromkeys(edges, True), bool)
-    # the edge sums carried along each word: its length, then its class
-    tables = [table(roof), table(classes, np.int64)]
-    lengths, r_min = tables[0], min(float(roof[e]) for e in edges)
+    # the edge sums carried along each word, its length then its class, in
+    # edge tables flattened to the index (k + 1) * tail + head
+    tables = [t.reshape((k + 1) ** 2, *t.shape[2:])
+              for t in (edge_table(g, roof), edge_table(g, classes, np.int64))]
+    lengths, has_edge = tables[0], tables[0] > 0
+    r_min = lengths[has_edge].min()
     vtype = np.min_scalar_type(k)
     ptype = np.min_scalar_type(n_max)
-    # successors of each vertex, padded with 0, which fails x >= word[t-p]
-    succ = np.zeros((k + 1, max(len(s) for s in g._succ)), dtype=vtype)
-    for a in range(1, k + 1):
-        succ[a, : len(g._succ[a])] = g._succ[a]
+    # successors in ascending order, then k + 1, which is 0 mod k + 1 and fails x >= word[t-p]
+    succ = np.sort(np.where(has_edge.reshape(k + 1, k + 1), np.arange(k + 1), k + 1)) % (k + 1)
+    succ = succ[:, :np.count_nonzero(succ, axis=1).max()].astype(vtype)
     drop: dict[int, list] = {}
     for word in exclude:
         drop.setdefault(len(word), []).append(word)

@@ -22,7 +22,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence, NotPrimitive
-from .graphs import DirectedGraph, Edge, is_primitive_pattern, require_valid, require_values
+from .graphs import (DirectedGraph, Edge, edge_table, is_primitive_pattern, require_roofs,
+                     require_valid, require_values)
 from .weights import WeightSystem, require_dimension
 
 @dataclass(frozen=True)
@@ -52,16 +53,13 @@ class MarkovMeasure:
 
 def edge_arrays(g: DirectedGraph, w: WeightSystem) -> tuple[np.ndarray, np.ndarray]:
     """Roof R[i-1, j-1] and class C[i-1, j-1, :] of each edge i -> j of a
-    valid graph, 0 off the edges; R > 0 is the adjacency pattern."""
+    valid graph, 0 off the edges; R > 0 is the adjacency pattern, as every
+    roof, which can be edited in place, is checked positive here."""
     require_valid(g)
     require_values(g.edge_set, w.roof)
-    k = g.vertex_count
-    r = np.zeros((k, k))
-    c = np.zeros((k, k, w.dimension))
-    for (i, j) in g.edge_set:
-        r[i - 1, j - 1] = w.roof[(i, j)]
-        c[i - 1, j - 1] = w.classes[(i, j)]
-    return r, c
+    require_roofs(w.roof)
+    # copies: einsum rounds a sum over a strided view differently
+    return edge_table(g, w.roof)[1:, 1:].copy(), edge_table(g, w.classes)[1:, 1:].copy()
 
 
 def _as_u(c: np.ndarray, u) -> np.ndarray:
@@ -293,6 +291,7 @@ def integrate_observable(mm: MarkovMeasure, w: WeightSystem, phi: dict) -> float
     """Time average of a per-edge observable under the suspension of the
     Markov measure: (sum m(e) phi(e)) / (sum m(e) roof(e))."""
     require_values(mm.edge_measure, phi, observable=True)
+    require_roofs(w.roof)
     num = 0.0
     den = 0.0
     for e, weight in mm.edge_measure.items():

@@ -17,7 +17,6 @@ column operations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,8 @@ from .errors import (
     MissingChordValue,
     NoMeridians,
 )
-from .graphs import (DirectedGraph, Edge, PrimeCycle, is_primitive_pattern, require_values,
-                     scan_cycles)
+from .graphs import (DirectedGraph, Edge, PrimeCycle, is_primitive_pattern, require_roofs,
+                     require_values, scan_cycles)
 
 
 def require_dimension(name: str, length: int, d: int, edge=None) -> None:
@@ -70,12 +69,8 @@ class WeightSystem:
         if b < 0 or n < 0 or b + n < 1:
             raise InvalidArgument(f"need b >= 0, meridians >= 0, b + meridians >= 1, got ({b}, {n})")
         d = b + n
-        roof = {}
-        for e, r in self.roof.items():
-            r = float(r)
-            if not 0.0 < r < math.inf:
-                raise InvalidArgument(f"roof must be positive and finite, got {r} on edge {e}")
-            roof[(int(e[0]), int(e[1]))] = r
+        roof = {(int(e[0]), int(e[1])): float(r) for e, r in self.roof.items()}
+        require_roofs(roof)
         classes = _edge_vectors(self.classes, d, "class vector")
         if set(roof) != set(classes):
             raise InvalidArgument("roof and classes must cover the same edges")
@@ -143,11 +138,9 @@ def weights_from_chords(g: DirectedGraph, ca: ChordAssignment) -> dict[Edge, tup
         if key in undirected:
             raise InvalidTree(f"tree edges ({a},{b}) duplicate the undirected edge {key}")
         undirected.add(key)
-    # connected iff the symmetric tree pattern plus I is primitive
-    pattern = np.eye(k)
-    for (a, b) in undirected:
-        pattern[a - 1, b - 1] = pattern[b - 1, a - 1] = 1
-    if not is_primitive_pattern(pattern):
+    # connected iff the tree run both ways, plus I, is primitive
+    adj = DirectedGraph(k, tree).adjacency()
+    if not is_primitive_pattern(adj + adj.T + np.eye(k)):
         raise InvalidTree("tree edges do not connect all vertices")
 
     tree_set = set(tree)
@@ -166,6 +159,7 @@ def birkhoff(c: PrimeCycle, w: WeightSystem) -> BirkhoffData:
     """Total roof and summed class vector around the cycle."""
     edges = c.edges()
     require_values(edges, w.roof)
+    require_roofs(w.roof)
     total = 0.0
     vec = [0] * w.dimension
     for e in edges:

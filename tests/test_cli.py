@@ -79,6 +79,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, command):
 
 # refusals pinned to their one line: (command, exit code, message)
 PINNED_REFUSALS = (
+    ("chebotarev bench3 --quotient nope --n 5", 2, "model has no quotient named 'nope'"),
     ("chebotarev bench3 --mod 400 --n 5", 2, "quotient order 160000 too large to tabulate"),
     # an order past 12 digits is named by its digit count
     ("chebotarev bench3 --mod 99999999999999999999 --n 5", 2,

@@ -1,9 +1,13 @@
 """The input rules each caller shares: every edge has a value, a vector
-has the class dimension, a cycle is not empty.  Each rule has one author,
-so every caller refuses with the same error and the same one line."""
+has the class dimension, a roof is positive and finite where it is read, a
+cycle is not empty.  Each rule has one author, so every caller refuses with
+the same error and the same one line.  The table also pins refusals that
+no other test reaches."""
 
+import math
 import re
 
+import numpy as np
 import pytest
 
 from orbitflow import (
@@ -12,22 +16,31 @@ from orbitflow import (
     DimensionMismatch,
     DirectedGraph,
     DirectionData,
+    EmptySelection,
+    FiniteQuotient,
     InvalidArgument,
+    InvalidTree,
     MarkovMeasure,
     MissingEdgeValue,
     MissingEdgeWeight,
     PrimeCycle,
     WeightSystem,
+    SingularHessian,
     birkhoff,
     canonical_form,
+    chebotarev_distribution,
+    cycle_table,
+    entropy_hessian,
     equidistribution_test,
     flow_pressure,
     integrate_observable,
     margulis_total,
+    perron,
     scan_cycles,
     solve_u,
     target_class,
     trace_prime_count,
+    weights_from_chords,
 )
 
 FULL2 = DirectedGraph(2, ((1, 1), (1, 2), (2, 1), (2, 2)))
@@ -50,6 +63,28 @@ PHI = {(1, 1): 1.0, (2, 1): 0.5}
 
 WEIGHTS = "edges without weights: [(2, 2)]"
 ONE_D = "has length 2, class dimension is 1"
+ROOF = "roof must be positive and finite, got {} on edge {}"
+TWO_CYCLE = DirectedGraph(2, ((1, 2), (2, 1)))
+PATH3 = DirectedGraph(3, ((1, 2), (2, 1), (2, 3), (3, 2)))
+
+
+def edited(roof):
+    """full2's weights with the roof of (2, 2) set to roof in place, after
+    construction checked it."""
+    w = full2_weights()
+    w.roof[(2, 2)] = roof
+    return w
+
+
+# every reader of a roof that checks it, called on weights edited in place
+ROOF_READS = {
+    "scan": lambda w: scan_cycles(FULL2, w.roof, w.classes, 4),
+    "flow_pressure": lambda w: flow_pressure(FULL2, w, [0.0]),
+    "margulis_total": lambda w: margulis_total(FULL2, w, (), 5.0),
+    "cycle_table": lambda w: cycle_table(FULL2, w, 5.0),
+    "birkhoff": lambda w: birkhoff(PrimeCycle((2,)), w),
+    "integrate_observable": lambda w: integrate_observable(MEASURE, w, W.roof),
+}
 
 # caller: (call, error, message)
 INPUT_REFUSALS = {
@@ -78,6 +113,39 @@ INPUT_REFUSALS = {
                         DimensionMismatch, "chord value on edge (2, 2) " + ONE_D),
     "canonical_form": (lambda: canonical_form(FULL2, ()), InvalidArgument, "empty vertex sequence"),
     "PrimeCycle": (lambda: PrimeCycle(()), InvalidArgument, "empty vertex sequence"),
+    "WeightSystem, roof": (lambda: WeightSystem(0, 1, {(1, 1): 0.0}, {(1, 1): (0,)}),
+                           InvalidArgument, ROOF.format(0.0, (1, 1))),
+    **{f"{caller}, roof edited to {r}": (lambda call=call, r=r: call(edited(r)),
+                                         InvalidArgument, ROOF.format(r, (2, 2)))
+       for caller, call in ROOF_READS.items() for r in (0.0, -1.0, math.nan)},
+    "scan, class lengths": (
+        lambda: scan_cycles(FULL2, W.roof, {**W.classes, (1, 2): (1, 0)}, 3),
+        DimensionMismatch, "value on edge (1, 2) has shape (2,), not (1,)"),
+    "FiniteQuotient.from_lattice, reduce": (
+        lambda: FiniteQuotient.from_lattice([[2, 0], [0, 2]]).reduce((1,)),
+        DimensionMismatch, "class vector has length 1, class dimension is 2"),
+    "perron, shape": (lambda: perron(np.ones((2, 3))), InvalidArgument,
+                      "expected a square matrix, got shape (2, 3)"),
+    "perron, sign": (lambda: perron([[1, -1], [1, 1]]), InvalidArgument,
+                     "matrix must be nonnegative"),
+    "WeightSystem, coverage": (lambda: WeightSystem(0, 1, {(1, 2): 1.0}, {(2, 1): (0,)}),
+                               InvalidArgument, "roof and classes must cover the same edges"),
+    "weights_from_chords, not an edge": (
+        lambda: weights_from_chords(TWO_CYCLE, ChordAssignment(1, ((1, 1),), {})),
+        InvalidTree, "tree edge (1,1) is not an edge of the graph"),
+    "weights_from_chords, duplicate": (
+        lambda: weights_from_chords(PATH3, ChordAssignment(1, ((1, 2), (2, 1)), {})),
+        InvalidTree, "tree edges (2,1) duplicate the undirected edge (1, 2)"),
+    "chebotarev_distribution, empty": (
+        lambda: chebotarev_distribution(TWO_CYCLE, full2_weights(skip=[(1, 1), (2, 2)]), (),
+                                        FiniteQuotient.from_modulus(2, 1), 1),
+        EmptySelection, "no prime cycles within the probed period"),
+    "entropy_hessian, not finite": (
+        lambda: entropy_hessian(DirectionData((0.5,), (0.0,), 0.5, 0.5, np.array([[np.nan]]))),
+        SingularHessian, "entropy Hessian is not finite"),
+    "entropy_hessian, not negative definite": (
+        lambda: entropy_hessian(DirectionData((0.5,), (0.0,), 0.5, 0.5, np.array([[1.0]]))),
+        SingularHessian, "entropy Hessian not negative definite (max eigenvalue 1)"),
 }
 
 

@@ -279,6 +279,11 @@ TEXT_REFUSALS = {
                            ValidationError, "duplicate quotient name 'q'"),
     "quotient shape": (SAMPLE + "[quotient] name=q lattice=2,0\n", ValidationError,
                        "quotient 'q': lattice must be 1x1"),
+    "negative b": (SAMPLE.replace("b = 0\nn_removed = 1", "b = -1\nn_removed = 2"), ValidationError,
+                   "need b >= 0, n_removed >= 0, b + n_removed >= 1 (got -1, 2)"),
+    "negative n_removed": (SAMPLE.replace("b = 0\nn_removed = 1", "b = 2\nn_removed = -1"),
+                           ValidationError,
+                           "need b >= 0, n_removed >= 0, b + n_removed >= 1 (got 2, -1)"),
 }
 
 
