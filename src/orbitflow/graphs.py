@@ -73,6 +73,33 @@ class DirectedGraph:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """``validate_graph``'s diagnostics, found once (the graph is frozen).
+        It is strongly connected iff A, its adjacency matrix, is irreducible,
+        iff A + I is primitive: (A + I)^m sums positive multiples of A^0..A^m,
+        so its entry (i, j) is positive iff a walk of <= m steps leads from i to j."""
+        problems = []
+        k = self.vertex_count
+        if k < 2:
+            return (f"vertex_count must be >= 2, got {k}",)
+        seen = set()
+        for (a, b) in self.edges:
+            if not (1 <= a <= k and 1 <= b <= k):
+                problems.append(f"edge ({a},{b}) references a vertex outside 1..{k}")
+            elif (a, b) in seen:
+                problems.append(f"duplicate edge ({a},{b})")
+            seen.add((a, b))
+        inside = [(a, b) for (a, b) in seen if 1 <= a <= k and 1 <= b <= k]
+        for kind, ends in (("out", {a for a, _ in inside}), ("in", {b for _, b in inside})):
+            if len(ends) < k:  # one bounded line, found in O(edges)
+                first = min(set(range(1, len(ends) + 2)) - ends)
+                problems.append(f"{k - len(ends)} of {k} vertices have {kind}-degree 0, "
+                                f"the first is vertex {first}")
+        if not problems and not is_primitive_pattern(self.adjacency() + np.eye(k)):
+            problems.append("graph is not strongly connected")
+        return tuple(problems)
+
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edge_set
 
@@ -129,37 +156,13 @@ class PrimeCycle:
 
 
 def validate_graph(g: DirectedGraph) -> list[str]:
-    """Diagnostics; empty list means the graph is valid.  It is strongly
-    connected iff its adjacency matrix A is irreducible, iff A + I is
-    primitive: (A + I)^m sums positive multiples of A^0..A^m, so its entry
-    (i, j) is positive iff a walk of at most m steps leads from i to j."""
-    problems = []
-    k = g.vertex_count
-    if k < 2:
-        problems.append(f"vertex_count must be >= 2, got {k}")
-        return problems
-    seen = set()
-    for (a, b) in g.edges:
-        if not (1 <= a <= k and 1 <= b <= k):
-            problems.append(f"edge ({a},{b}) references a vertex outside 1..{k}")
-        elif (a, b) in seen:
-            problems.append(f"duplicate edge ({a},{b})")
-        seen.add((a, b))
-    inside = [(a, b) for (a, b) in seen if 1 <= a <= k and 1 <= b <= k]
-    for kind, ends in (("out", {a for a, _ in inside}), ("in", {b for _, b in inside})):
-        if len(ends) < k:  # one bounded line, found in O(edges)
-            first = min(set(range(1, len(ends) + 2)) - ends)
-            problems.append(f"{k - len(ends)} of {k} vertices have {kind}-degree 0, "
-                            f"the first is vertex {first}")
-    if not problems and not is_primitive_pattern(g.adjacency() + np.eye(k)):
-        problems.append("graph is not strongly connected")
-    return problems
+    """Diagnostics, a copy of ``g.problems``; empty list means the graph is valid."""
+    return list(g.problems)
 
 
 def require_valid(g: DirectedGraph) -> None:
-    problems = validate_graph(g)
-    if problems:
-        raise InvalidGraph("; ".join(problems))
+    if g.problems:
+        raise InvalidGraph("; ".join(g.problems))
 
 
 def require_values(edges, values, *, observable=False) -> None:

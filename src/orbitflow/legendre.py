@@ -61,7 +61,6 @@ _COLLINEARITY_TOL = 1e-12
 _TOL = 1e-8            # solve_u: sup-norm of grad e at the solution, and 1e-10 of its Newton step
 _MAX_ITER = 200        # solve_u: Newton steps before giving up
 _DIVERGE_NORM = 1e3    # solve_u: |u| beyond which rho is outside
-_FLAT_TOL = 1e-13      # solve_u: predicted decrease below e's resolution
 
 
 def _affine_frame(points):
@@ -142,91 +141,95 @@ def hull_contains(points, rho, tol: float = 1e-9) -> bool:
     return off <= tol and over <= tol
 
 
-def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
-    """Dual parameter u(rho) by Newton descent on e(u) = pressure - <u, rho>.
+def _certified_outside(r: np.ndarray, c: np.ndarray, v: np.ndarray, rho: np.ndarray) -> bool:
+    """Is <v, class> - (<v, rho> - 1e-9 |v|) length < 0 on every simple cycle,
+    so that rho lies 1e-9 beyond a supporting line of the direction set?  As
+    in ``direction_hull``, it tests every max-plus closed walk of <= k steps."""
+    a = np.where(r > 0, c @ v - (v @ rho - 1e-9 * np.linalg.norm(v)) * r, -np.inf)
+    walks = a
+    for _ in range(len(r)):
+        if not (np.diagonal(walks) < 0.0).all():
+            return False
+        walks = (walks[:, :, None] + a[None, :, :]).max(axis=1)
+    return True
 
-    Starts from u = 0 with Armijo backtracking.  A trial point u + t step
-    takes one Perron pair at its second-order predicted pressure, and more
-    only while |log lambda| > 1e-6; its corrected pressure gives e (see
-    ``pair_jet``).  Once the predicted decrease is below e's float
-    resolution, a step that lowers the gradient residual is accepted.  The
-    solve stops at a residual <= _TOL and a Newton step <= 1e-10 (or a
-    residual at float noise), the pressure polished to |log lambda| <= 1e-13.
-    Raises OutsideCone when |u| passes _DIVERGE_NORM, a Newton step is not
-    finite or the line search stalls with a gradient bounded away from
-    zero, and DegenerateModel when the pressure Hessian is singular at the
-    origin (empty interior).
+
+def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
+    """Dual parameter u(rho), with s = P(u), by Newton on F(u, s) = (log
+    lambda(M(u, s)), E_mu[c] - rho E_mu[r]) from (0, P(0)): Jacobian
+    [[E_mu[c]^T, -E_mu[r]], [I | rho] Sigma], Sigma the covariance of (c, -r)
+    of one ``pair_jet`` (Parry & Pollicott, Asterisque 187-188), the step
+    halved until the sup-norm of F falls, one Perron pair a trial.  Stops at
+    |log lambda| <= 1e-13, |grad P - rho| <= _TOL and a u-step <= 1e-10 (or
+    a residual at float noise), and takes that last step.  The entropy is
+    h_mu / E_mu[r] (Abramov) plus <u, grad P - rho>.  Raises OutsideCone when
+    ``_certified_outside`` holds along u or rho - grad P after a damped step,
+    the halving stalls, |u| passes _DIVERGE_NORM or a Newton step is not
+    finite; DegenerateModel when the pressure Hessian is singular at 0.
     """
     rho = np.asarray(rho, dtype=float).reshape(-1)
     d = w.dimension
     require_dimension("rho", len(rho), d)
     r, c = edge_arrays(g, w)
 
-    u = np.zeros(d)
-    jet = pressure_jet(r, c, u)
+    jet = pressure_jet(r, c, np.zeros(d))
     eigs = np.linalg.eigvalsh(jet.hessian)
     if eigs.min() <= 1e-10 * max(1.0, eigs.max()):
         raise DegenerateModel("pressure Hessian singular at 0; direction set has empty interior")
     noise = 16 * np.finfo(float).eps * max(1.0, float(np.abs(rho).max()))
-    for _ in range(_MAX_ITER):
-        if abs(jet.log_lambda) > 1e-13 and float(np.abs(jet.gradient - rho).max()) <= _TOL:
-            jet = pressure_jet(r, c, u)  # polish the pressure
-        e_val, grad = jet.pressure - float(u @ rho), jet.gradient - rho
-        residual = float(np.abs(grad).max())
-        if residual <= _TOL:
-            # a genuine interior minimum has a nondegenerate Hessian; a
-            # vanishing one means the iterate ran off toward the boundary
-            # and the gradient decayed along the way
-            if float(np.linalg.eigvalsh(jet.hessian).min()) <= 10.0 * _TOL:
-                raise OutsideCone(
-                    "dual Hessian degenerate at the solution; direction "
-                    "numerically indistinguishable from the boundary"
-                )
+    residual = lambda jet: np.append(jet.log_lambda, jet.mean_roof * (jet.gradient - rho))
+    u, s, f, jac = np.zeros(d), jet.pressure, residual(jet), np.empty((d + 1, d + 1))
+    with np.errstate(all="ignore"):  # a huge rho makes F non-finite; the halving stalls
+        for _ in range(_MAX_ITER):
+            jac[0, :d], jac[0, d] = jet.mean_roof * jet.gradient, -jet.mean_roof
+            jac[1:] = jet.covariance[:d] + rho[:, None] * jet.covariance[d]
             try:
-                hess_h = -np.linalg.inv(jet.hessian)
-            except np.linalg.LinAlgError as exc:
-                raise SingularHessian(str(exc)) from exc
-            if float(np.abs(hess_h @ grad).max()) <= 1e-10 or residual <= noise:
-                return DirectionData(tuple(map(float, rho)), tuple(map(float, u)),
-                                     float(e_val), float(jet.pressure), hess_h)
-        try:
-            step = np.linalg.solve(jet.hessian, -grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.solve(jet.hessian + 1e-10 * np.eye(d), -grad)
-        if not np.isfinite(step).all():
-            raise OutsideCone("Newton step is not finite; direction outside the attainable set")
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge rho stalls below
-            slope = float(grad @ step)
-            if slope >= 0.0:  # not a descent direction; regularize
-                step = np.linalg.solve(jet.hessian + 1e-10 * np.eye(d), -grad)
-                slope = float(grad @ step)
-            dp, d2p = float(jet.gradient @ step), float(step @ jet.hessian @ step)
-        flat = -slope <= _FLAT_TOL * max(1.0, abs(e_val))
-        t = 1.0
-        while t >= 1e-12:
-            u_new = u + t * step
-            try:
-                jet_new = pair_jet(r, c, u_new, jet.pressure + t * dp + 0.5 * t * t * d2p)
-                while abs(jet_new.log_lambda) > 1e-6:
-                    jet_new = pair_jet(r, c, u_new, jet_new.pressure)
-            except NonConvergence:
-                # transfer matrix under/overflowed: step far too long
-                t *= 0.5
-                continue
-            e_new = jet_new.pressure - float(u_new @ rho)
-            grad_new = jet_new.gradient - rho
-            if e_new <= e_val + 1e-4 * t * slope or (
-                flat and float(np.abs(grad_new).max()) < residual
-            ):
+                step = np.linalg.solve(jac, -f)
+            except np.linalg.LinAlgError:  # singular: refused below as not finite
+                step = np.full(d + 1, np.nan)
+            if not np.isfinite(step).all():
+                raise OutsideCone("Newton step is not finite; direction outside the attainable set")
+            grad_res = float(np.abs(jet.gradient - rho).max())
+            if abs(jet.log_lambda) <= 1e-13 and grad_res <= _TOL and (
+                    float(np.abs(step[:d]).max()) <= 1e-10 or grad_res <= noise):
                 break
-            t *= 0.5
+            norm, t = float(np.abs(f).max()), 1.0
+            while t >= 1e-12:
+                try:  # a transfer matrix that under/overflows shortens the step too
+                    trial = pair_jet(r, c, u + t * step[:d], s + t * step[d])
+                    f_trial = residual(trial)
+                    if float(np.abs(f_trial).max()) < norm:
+                        break
+                except NonConvergence:
+                    pass
+                t *= 0.5
+            # after a damped step, or none: u and rho - grad P as separating normals
+            if t < 1.0 and any(_certified_outside(r, c, v, rho)
+                               for v in (u + t * step[:d], rho - jet.gradient)):
+                raise OutsideCone("certified outside: every cycle ratio lies more than 1e-9 "
+                                  "behind a line through rho")
+            if t < 1e-12:
+                raise OutsideCone(f"line search stalled with |F| = {norm:.3g}")
+            u, s, jet, f = u + t * step[:d], s + t * step[d], trial, f_trial
+            if float(np.linalg.norm(u)) > _DIVERGE_NORM:
+                raise OutsideCone(f"dual parameter diverged (|u| > {_DIVERGE_NORM:g}); "
+                                  "direction outside the attainable set")
         else:
-            raise OutsideCone(f"line search stalled with gradient norm {residual:.3g}")
-        u, jet = u_new, jet_new
-        if float(np.linalg.norm(u)) > _DIVERGE_NORM:
-            raise OutsideCone(f"dual parameter diverged (|u| > {_DIVERGE_NORM:g}); "
-                              "direction outside the attainable set")
-    raise OutsideCone(f"no convergence in {_MAX_ITER} Newton steps")
+            raise OutsideCone(f"no convergence in {_MAX_ITER} Newton steps")
+        # a genuine interior minimum has a nondegenerate Hessian; a vanishing one
+        # means the iterate ran off toward the boundary as the gradient decayed
+        if float(np.linalg.eigvalsh(jet.hessian).min()) <= 10.0 * _TOL:
+            raise OutsideCone("dual Hessian degenerate at the solution; direction "
+                              "numerically indistinguishable from the boundary")
+        try:
+            hess_h = -np.linalg.inv(jet.hessian)
+        except np.linalg.LinAlgError as exc:
+            raise SingularHessian(str(exc)) from exc
+        u, p = u + step[:d], jet.transition
+        h_mu = -float((jet.stationary[:, None] * np.where(p > 0, p * np.log(p), 0.0)).sum())
+        entropy = h_mu / jet.mean_roof + float(u @ (jet.gradient - rho))
+    return DirectionData(tuple(map(float, rho)), tuple(map(float, u)),
+                         entropy, entropy + float(u @ rho), hess_h)
 
 
 def entropy_hessian(dd: DirectionData) -> np.ndarray:

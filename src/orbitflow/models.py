@@ -188,9 +188,9 @@ def parse_model(text: str) -> ModelSpec:
     vertices = need("vertices", int)
     if problems:
         raise ValidationError("; ".join(problems))
-    if b < 0 or n_removed < 0 or b + n_removed < 1:
+    dim = b + n_removed if b >= 0 and n_removed >= 0 and b + n_removed >= 1 else None
+    if dim is None:  # refused: no class or lattice length is checked against it
         problems.append(f"need b >= 0, n_removed >= 0, b + n_removed >= 1 (got {b}, {n_removed})")
-    dim = b + n_removed
 
     has_chords = chords_raw["line"] is not None
     edge_list: list[Edge] = []
@@ -220,7 +220,7 @@ def parse_model(text: str) -> ModelSpec:
             if has_chords:
                 problems.append(f"edge {e}: class given although a [chords] section exists")
             vec = _parse_int_vector(rec["class"][0], rec["class"][1])
-            if len(vec) != dim:
+            if dim is not None and len(vec) != dim:
                 problems.append(f"edge {e}: class has length {len(vec)}, expected {dim}")
             classes[e] = vec
         elif not has_chords:
@@ -281,7 +281,7 @@ def parse_model(text: str) -> ModelSpec:
         )
         if qname in quotients:
             problems.append(f"duplicate quotient name {qname!r}")
-        if any(len(row) != dim for row in rows) or len(rows) != dim:
+        if dim is not None and (any(len(row) != dim for row in rows) or len(rows) != dim):
             problems.append(f"quotient {qname!r}: lattice must be {dim}x{dim}")
         quotients[qname] = rows
 

@@ -7,10 +7,11 @@ adjacency matrix M(u, s), and the pressure of the suspension flow at u is
 the unique root s* of log lambda(M(u, s)) = 0 (the roof is strictly
 positive, so s -> log lambda is strictly decreasing).  The equilibrium
 measure is the Markov chain built from the Perron eigendata at s*.  One
-Perron pair at any s gives the chain, log lambda, the gradient and the
-closed-form Hessian (when read), and the pressure corrected by one Newton
-step in s: a root solve is Newton over such pairs.  As the scan entry
-keeps its last scan, ``pressure_jet`` keeps its last roots, by content.
+Perron pair at any s gives the chain, log lambda, the gradient, the
+covariance of (class, -roof) and the closed-form Hessian (when read), and
+the pressure corrected by one Newton step in s: a root solve and
+``legendre.solve_u`` are Newton over such pairs, and ``pressure_jet``
+keeps its last roots by content, as the scan entry keeps its last scan.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def _perron_data(m: np.ndarray) -> PerronData:
         # a dominant eigenvalue repeated in double precision (a nearly
         # reducible matrix) can come back with a vector such as (1, 0);
         # polish that case only.  A vector that lost entries to underflow,
-        # far out in u, stays a refusal: solve_u's line search relies on it
+        # far out in u, stays a refusal: solve_u halves its step on it
         (lam, right), (_, left) = _collatz_wielandt(m), _collatz_wielandt(m.T)
 
 
@@ -162,7 +163,8 @@ class PressureJet:
     """Flow pressure at u with its gradient and Hessian, and the eigen-chain
     (stationary vector, transition matrix) of the equilibrium state, from
     one Perron pair at s: log_lambda = log lambda(M(u, s)), mean_roof = E_mu[r],
-    centred = c - gradient * r on the edges.  Its arrays are read-only."""
+    centred = (c, -r) - E_mu[(c, -r)] on the edges.  Its arrays are read-only;
+    the covariance and the Hessian, exactly symmetric, are taken on first read."""
 
     pressure: float
     gradient: np.ndarray
@@ -173,19 +175,27 @@ class PressureJet:
     centred: np.ndarray
 
     @cached_property
-    def hessian(self) -> np.ndarray:
-        """Sigma(g) / E_mu[r], Sigma the asymptotic covariance of g = centred
-        along the chain: E_mu[g g^T] + E_mu[g (Z h)(head)^T] + transpose, Z =
-        (I - P + 1 pi)^-1, h(a) = sum_b P[a,b] g(a,b) (Parry & Pollicott,
-        Asterisque 187-188), symmetrised exactly; computed on first read."""
-        pi, p, g = self.stationary, self.transition, self.centred
+    def covariance(self) -> np.ndarray:
+        """Sigma = Hess_(u, s) log lambda(M(u, s)), the asymptotic covariance of
+        f = centred: E_mu[f f^T] + E_mu[f (Z h)(head)^T] + transpose, Z = (I - P +
+        1 pi)^-1, h(a) = sum_b P[a,b] f(a,b) (Parry & Pollicott, Asterisque 187-188)."""
+        pi, p, f = self.stationary, self.transition, self.centred
         with np.errstate(all="ignore"):
             mu = pi[:, None] * p
             zh = np.linalg.solve(np.eye(len(pi)) - p + pi[None, :],
-                                 np.einsum("ab,abd->ad", p, g))
-            cross = np.einsum("ab,abi,bj->ij", mu, g, zh)
-            hess = (np.einsum("ab,abi,abj->ij", mu, g, g) + cross + cross.T) / self.mean_roof
-        hess = 0.5 * (hess + hess.T)
+                                 np.einsum("ab,abd->ad", p, f))
+            cross = np.einsum("ab,abi,bj->ij", mu, f, zh)
+            cov = np.einsum("ab,abi,abj->ij", mu, f, f) + cross + cross.T
+        cov = 0.5 * (cov + cov.T)
+        cov.flags.writeable = False
+        return cov
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        """B Sigma B^T / E_mu[r], B = [I | gradient], by implicit differentiation."""
+        b = np.hstack([np.eye(len(self.gradient)), self.gradient[:, None]])
+        hess = b @ self.covariance @ b.T
+        hess = (hess + hess.T) / (2.0 * self.mean_roof)
         hess.flags.writeable = False
         return hess
 
@@ -195,9 +205,9 @@ def pair_jet(r: np.ndarray, c: np.ndarray, u: np.ndarray, s: float) -> PressureJ
     pressure s + log_lambda / E_mu[r], off the root by O(log_lambda^2).
 
     With mu the edge measure of the eigen-chain, the gradient is E_mu[c] /
-    E_mu[r]; the Hessian is computed from the chain when first read (see
-    ``PressureJet.hessian``).  An edge entry of M that under/overflows, or
-    an eigen-chain that is not finite and positive, raises NonConvergence.
+    E_mu[r]; the covariance and the Hessian are computed from the chain when
+    first read (see ``PressureJet``).  An edge entry of M that under/overflows,
+    or an eigen-chain that is not finite and positive, raises NonConvergence.
     """
     with np.errstate(all="ignore"):  # lost finiteness or positivity refuses
         m = _transfer(r, c @ u, s)
@@ -212,11 +222,11 @@ def pair_jet(r: np.ndarray, c: np.ndarray, u: np.ndarray, s: float) -> PressureJ
         mu = pi[:, None] * p
         mean_roof = float((mu * r).sum())
         grad = np.einsum("ab,abd->d", mu, c) / mean_roof
-        g = c - grad * r[:, :, None]  # 0 off the edges, where c and r are
-    for a in (grad, pi, p, g):
+        f = np.concatenate([c, -r[:, :, None]], axis=2) - np.append(grad, -1.0) * mean_roof
+    for a in (grad, pi, p, f):
         a.flags.writeable = False
     log_lam = math.log(pd.eigenvalue)
-    return PressureJet(s + log_lam / mean_roof, grad, pi, p, log_lam, mean_roof, g)
+    return PressureJet(s + log_lam / mean_roof, grad, pi, p, log_lam, mean_roof, f)
 
 
 def pressure_jet(r: np.ndarray, c: np.ndarray, u) -> PressureJet:
@@ -281,9 +291,8 @@ def pressure_gradient(g: DirectedGraph, w: WeightSystem, u) -> np.ndarray:
 
 
 def pressure_hessian(g: DirectedGraph, w: WeightSystem, u) -> np.ndarray:
-    """Closed-form pressure Hessian at u: the asymptotic covariance of the
-    centred class per unit length (see ``PressureJet.hessian``), exactly
-    symmetric."""
+    """Closed-form pressure Hessian at u, exactly symmetric: the asymptotic
+    covariance of class - gradient * roof per unit length (see ``PressureJet``)."""
     return pressure_jet(*edge_arrays(g, w), u).hessian.copy()
 
 

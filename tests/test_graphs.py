@@ -70,6 +70,26 @@ class TestValidate:
                 verdicts.add(want)
         assert verdicts == {True, False}
 
+    def test_a_frozen_graph_is_validated_once(self, monkeypatch):
+        # each validation runs one primitivity test
+        primitive, calls = graphs.is_primitive_pattern, []
+        monkeypatch.setattr(graphs, "is_primitive_pattern",
+                            lambda a: calls.append(a) or primitive(a))
+        g = DirectedGraph(3, ((1, 2), (2, 3), (3, 1), (1, 1)))
+        graphs.require_valid(g)
+        graphs.require_valid(g)
+        assert len(calls) == 1
+        # the returned list is a copy: editing it leaves the graph valid
+        validate_graph(g).append("edited")
+        assert validate_graph(g) == []
+        bad = DirectedGraph(3, ((1, 2), (2, 1), (2, 3), (3, 3)))
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(InvalidGraph) as info:
+                graphs.require_valid(bad)
+            messages.add(str(info.value))
+        assert messages == {"graph is not strongly connected"} and len(calls) == 2
+
 
 def _reaches_all(k, edges):
     """Breadth-first search from vertex 1: does it reach all of 1..k?"""

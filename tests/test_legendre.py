@@ -21,6 +21,7 @@ from orbitflow import (
     WeightSystem,
     direction_hull,
     entropy_hessian,
+    enumerate_prime_cycles,
     flow_pressure,
     generation_check,
     hull_contains,
@@ -123,11 +124,12 @@ class TestSolveU:
             solve_u(FULL2, zero_weights(FULL2), [0.0])
 
     def test_non_finite_newton_step_refused_without_warning(self, bench3):
-        # far out in u the Hessian is nearly singular and its Newton step
-        # overflows; the solve must refuse before evaluating e at it
+        # u runs off along a line that does not separate rho, where |F|
+        # barely decreases; the normal rho - grad P certifies rho outside,
+        # and no floating-point warning escapes on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OutsideCone, match="not finite"):
+            with pytest.raises(OutsideCone, match="certified outside"):
                 solve_u(bench3.graph, bench3.weights,
                         (-0.3775701322221332, 0.7787958640083494))
 
@@ -146,8 +148,8 @@ class TestSolveU:
             assert np.abs(np.array(dd.u) - np.array(u)).max() <= 1e-6
 
     def test_roundtrip_where_armijo_sees_only_float_noise(self, bench3):
-        # the last Newton step lands on u* but changes e by float noise
-        # alone; the line search must still accept it
+        # the last Newton steps land on u* and change |F| by float noise
+        # alone; the solve must stop there, not stall
         g, w = bench3.graph, bench3.weights
         for rho, u in (
             ((0.14356098992698427, 0.09085056902525078),
@@ -182,9 +184,10 @@ class TestSolveU:
         assert np.abs(np.array(dd.u) - u).max() <= 1e-8
 
     def test_perron_pair_budget(self, monkeypatch, bench3):
-        # a trial point costs one Perron pair at its predicted pressure, not
-        # a root solve: 17.8 pairs a solve over these directions, 29.6 when
-        # every trial point ran a bracketed root solve
+        # a trial point of the joint (u, s) Newton costs one Perron pair:
+        # 5.0 pairs a solve over these directions, 12.8 with a line search
+        # in u alone over pairs at predicted pressures, 29.6 when every
+        # trial point ran a bracketed root solve
         g, w = bench3.graph, bench3.weights
         rhos = [pressure_gradient(g, w, u) for u in ([0.0, 0.0], [0.3, -0.2], [-0.5, 0.4])]
         rhos += [(0.14356098992698427, 0.09085056902525078),
@@ -194,7 +197,7 @@ class TestSolveU:
         monkeypatch.setattr(thermo, "_perron_data", lambda m: pairs.append(1) or perron_data(m))
         for rho in rhos:
             solve_u(g, w, rho)
-        assert len(pairs) / len(rhos) < 22.0
+        assert len(pairs) / len(rhos) < 6.5
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4),
@@ -239,6 +242,69 @@ class TestSolveU:
         assert solve_u(FULL2, w, [rho_star]).entropy == pytest.approx(top, abs=1e-10)
 
 
+class TestOutsideCertificate:
+    """``legendre._certified_outside``: the max-plus closed-walk test that
+    ``solve_u`` runs after a damped step."""
+
+    @staticmethod
+    def brute_force(g, w, v, rho):
+        # every prime cycle of period <= k, not only the simple ones: a
+        # closed walk is negative when each simple cycle in it is
+        beta = float(v @ rho) - 1e-9 * float(np.linalg.norm(v))
+        sums = [float(sum(float(v @ np.asarray(w.classes[e], dtype=float)) - beta * w.roof[e]
+                          for e in cycle.edges()))
+                for cycle in enumerate_prime_cycles(g, g.vertex_count)]
+        return max(sums)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), d=st.integers(1, 2),
+           data=st.data())
+    def test_max_plus_test_matches_the_cycles(self, seed, k, d, data):
+        rng = np.random.default_rng(seed)
+        g = random_strong_graph(rng, k, ensure_aperiodic=True)
+        w = random_weights(rng, g, d)
+        r, c = thermo.edge_arrays(g, w)
+        v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        rho = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)))
+        assume(np.linalg.norm(v) > 1e-3)
+        top = self.brute_force(g, w, v, rho)
+        assume(abs(top) > 1e-9)  # the two sum a cycle in different orders
+        assert legendre._certified_outside(r, c, v, rho) == (top < 0.0)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), d=st.integers(1, 2),
+           data=st.data())
+    def test_never_fires_at_a_gradient(self, seed, k, d, data):
+        rng = np.random.default_rng(seed)
+        g = random_strong_graph(rng, k, ensure_aperiodic=True)
+        w = random_weights(rng, g, d)
+        assume(np.linalg.eigvalsh(pressure_hessian(g, w, np.zeros(d))).min() > 1e-2)
+        r, c = thermo.edge_arrays(g, w)
+        u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        rho = pressure_gradient(g, w, u)
+        for direction in (u, v, -v):
+            if np.linalg.norm(direction) > 1e-3:
+                assert not legendre._certified_outside(r, c, direction, rho)
+
+    def test_bench3_outside_directions_are_certified(self, bench3):
+        # rho drawn in a box around the direction set, kept when it lies more
+        # than 0.02 outside the exact hull (cycle ratios of period <= 3)
+        g, w = bench3.graph, bench3.weights
+        hull = direction_hull(g, w, g.vertex_count)
+        rng = np.random.default_rng(20261020)
+        rhos = [rho for rho in rng.uniform((-0.5, -0.5), (2.0, 1.0), size=(200, 2))
+                if not hull.contains(rho, tol=0.02)][:64]
+        assert len(rhos) == 64
+        messages = []
+        for rho in rhos:
+            with pytest.raises(OutsideCone) as info:
+                solve_u(g, w, rho)
+            messages.append(str(info.value))
+        certified = sum(m.startswith("certified outside") for m in messages)
+        assert certified >= 0.9 * len(rhos)
+
+
 class TestRootMemo:
     """``solve_u`` over the thermo root memo and the lazy Hessian."""
 
@@ -258,36 +324,37 @@ class TestRootMemo:
         assert ((3, 3, 2), (0.0, 0.0)) not in root_solves
         assert self.fields(warm) == self.fields(cold)
 
-    @pytest.mark.parametrize("u_seed, outside", [((0.5, -0.5), None), (None, (0.0, 0.9))])
+    @pytest.mark.parametrize("u_seed, outside", [((-1.5, 1.5), None), (None, (0.0, 0.9))])
     def test_rejected_trial_pair_computes_no_hessian(self, monkeypatch, bench3, u_seed, outside):
-        # a trial pair the line search rejects, or a correction replaced by
-        # the next, is followed at once by another pair; an accepted one has
-        # its Hessian read first (or is replaced by a polished root)
+        # a trial pair the step halving rejects is followed at once by
+        # another pair; an accepted one has its covariance read first (or
+        # certifies rho outside).  The Hessian is read from the covariance.
+        # Both directions take damped steps: 4 and 8 rejected pairs
         g, w = bench3.graph, bench3.weights
         rho = outside or pressure_gradient(g, w, u_seed)
         events = []
-        pair_jet, hessian = legendre.pair_jet, thermo.PressureJet.__dict__["hessian"]
-        read = hessian.func
+        pair_jet, covariance = legendre.pair_jet, thermo.PressureJet.__dict__["covariance"]
+        read = covariance.func
 
         def paired(*args):
             events.append(("pair", pair_jet(*args)))
             return events[-1][1]
 
-        def hessian_read(jet):
-            events.append(("hess", jet))
+        def covariance_read(jet):
+            events.append(("cov", jet))
             return read(jet)
 
         monkeypatch.setattr(legendre, "pair_jet", paired)
-        monkeypatch.setattr(hessian, "func", hessian_read)
+        monkeypatch.setattr(covariance, "func", covariance_read)
         if outside:
-            with pytest.raises(OutsideCone, match="line search stalled"):
+            with pytest.raises(OutsideCone, match="certified outside"):
                 solve_u(g, w, rho)
         else:
             solve_u(g, w, rho)
         replaced = [jet for (kind, jet), (next_kind, _) in zip(events, events[1:])
                     if kind == next_kind == "pair"]
         assert len(replaced) >= 3
-        assert not any("hessian" in vars(jet) for jet in replaced)
+        assert not any({"covariance", "hessian"} & set(vars(jet)) for jet in replaced)
 
 
 class TestEntropyHessian:

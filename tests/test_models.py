@@ -284,6 +284,12 @@ TEXT_REFUSALS = {
     "negative n_removed": (SAMPLE.replace("b = 0\nn_removed = 1", "b = 2\nn_removed = -1"),
                            ValidationError,
                            "need b >= 0, n_removed >= 0, b + n_removed >= 1 (got 2, -1)"),
+    # with the rank refused, no class length is checked against it
+    "rank zero": (SAMPLE.replace("b = 0\nn_removed = 1", "b = 0\nn_removed = 0"), ValidationError,
+                  "need b >= 0, n_removed >= 0, b + n_removed >= 1 (got 0, 0)"),
+    "negative rank": (SAMPLE.replace("b = 0\nn_removed = 1", "b = 0\nn_removed = -1")
+                      + "[quotient] name=q lattice=2\n", ValidationError,
+                      "need b >= 0, n_removed >= 0, b + n_removed >= 1 (got 0, -1)"),
 }
 
 
