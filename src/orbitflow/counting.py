@@ -349,20 +349,27 @@ def _walk_primes(g: DirectedGraph, w: WeightSystem, n_max: int, quot=None, remov
     return keys, prime
 
 
-def trace_prime_counts_table(g: DirectedGraph, w: WeightSystem, n_max: int):
-    """prime[m][beta] for all m <= n_max, by walk traces and inversion; roof must be 1."""
+def _unit_walk_primes(g: DirectedGraph, w: WeightSystem, n_max: int):
+    """``_walk_primes`` on the class box, for the trace oracle; roof must be 1."""
     if any(r != 1.0 for r in w.roof.values()):
         raise RoofNotUnit("this oracle requires roof identically 1")
-    keys, prime = _walk_primes(g, w, n_max)
+    return _walk_primes(g, w, n_max)
+
+
+def trace_prime_counts_table(g: DirectedGraph, w: WeightSystem, n_max: int):
+    """prime[m][beta] for all m <= n_max, by walk traces and inversion; roof must be 1."""
+    keys, prime = _unit_walk_primes(g, w, n_max)
     return {m: dict(zip(itertools.compress(keys, (row != 0).tolist()), row[row != 0].tolist()))
             for m, row in enumerate(prime, 1)}
 
 
 def trace_prime_count(g: DirectedGraph, w: WeightSystem, n: int, beta) -> int:
-    """Prime cycles of period n with class beta: one entry of the trace table."""
+    """Prime cycles of period n with class beta: row n of the trace table
+    read at beta, 0 for a class outside the box of n-step walks."""
     beta = tuple(int(x) for x in beta)
     require_dimension("class vector", len(beta), w.dimension)
-    return trace_prime_counts_table(g, w, n)[n].get(beta, 0)
+    keys, prime = _unit_walk_primes(g, w, n)
+    return int(prime[n - 1][keys.index(beta)]) if beta in keys else 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,15 @@ deduplication, in (period, vertex sequence) order: each level is expanded
 first in, first out, so its words stay in order, and the cycles are joined
 period by period.  The frontier is expanded in blocks of at most _BLOCK
 rows, which bounds memory only, not the order or the sums.
+
+Under a length bound a child is kept only if its length plus its shortest
+way home fits: a prime cycle of period >= 2 is a Lyndon word, which never
+ends with its first letter, so it closes by a walk back to word[0] whose
+last edge leaves another vertex.  Those return distances come from one
+Floyd-Warshall pass per cold scan, in O(k^2) memory.  The bound is summed
+in another order than the cycle, so it is tested against max_len plus a
+relative slack that covers both sums' rounding; the slack only keeps rows,
+and the emit test alone decides which cycles are found.
 """
 
 from __future__ import annotations
@@ -247,11 +256,13 @@ def scan_cycles(
     """All prime cycles of period <= n_max and length <= max_len, less the
     canonical words in ``exclude``, in (period, vertex sequence) order
     whatever _BLOCK is: periods, lengths (``roof`` summed), classes
-    (``classes`` summed) and words, pruning branches that cannot close
-    within max_len.  The last scan is kept and returned again while
-    its key matches: the graph, the roof and class of every edge (content,
-    not identity, as weights can be edited in place), n_max, max_len and
-    exclude.
+    (``classes`` summed) and words.  Under a finite max_len a child is
+    expanded only if its length plus its shortest way home to word[0], by
+    a last edge from another vertex, is within max_len plus a float slack,
+    so the prune drops no cycle.  The last scan is kept and returned again
+    while its key matches: the graph, the roof and class of every edge
+    (content, not identity, as weights can be edited in place), n_max,
+    max_len and exclude.
     """
     global _memo
     require_values(g.edge_set, roof.keys() & classes.keys())
@@ -275,7 +286,27 @@ def scan_cycles(
     tables = [t.reshape((k + 1) ** 2, *t.shape[2:])
               for t in (edge_table(g, roof), edge_table(g, classes, np.int64))]
     lengths, has_edge = tables[0], tables[0] > 0
-    r_min = lengths[has_edge].min()
+    back = None
+    if max_len != math.inf:   # else every child is kept
+        # back[x, y]: the least roof sum of a walk x -> y whose last edge
+        # leaves a vertex other than y.  A shortest one has no loop, so it is
+        # Floyd-Warshall's on the loopless roofs, which puts the shortest cycle
+        # through y at [y, y]; O(k^2) memory, and stored at (k + 1) y + x
+        back = np.where(has_edge, lengths, math.inf).reshape(k + 1, k + 1)
+        np.fill_diagonal(back, math.inf)
+        for m in range(1, k + 1):
+            np.minimum(back, back[:, m, None] + back[m], out=back)
+        back = back.T.ravel()
+        # slack: a cycle of n <= n_max edges and exact length L is emitted iff
+        # its word-order float sum, >= (1 - n u) L with u = 2^-53 as the roofs
+        # are positive, is <= max_len.  Each ancestor's test sums its prefix
+        # (< n roofs) and a Floyd-Warshall walk (<= k roofs) no longer than the
+        # rest of the cycle, so is <= (1 + (n + k) u) L.  2 (n_max + k + 2) u
+        # covers both and the rounding of reach: the slack only keeps rows.
+        reach = max_len * (1 + (n_max + k + 2) * 2.0**-52)
+        # a block whose words all have acc + longest <= reach keeps every
+        # child untested; rounding may keep a few more rows, never fewer
+        longest = lengths.max() + back[back < math.inf].max()
     vtype = np.min_scalar_type(k)
     ptype = np.min_scalar_type(n_max)
     # successors in ascending order, then k + 1, which is 0 mod k + 1 and fails x >= word[t-p]
@@ -305,11 +336,15 @@ def scan_cycles(
         wtp = w.ravel().take(np.arange(len(p)) * n_max + (t - p))
         cand = succ.take(w[:, t - 1], axis=0)
         ok = cand >= wtp[:, None]
-        ok &= acc[0][:, None] + lengths.take(base[:, None] + cand) + r_min <= max_len
+        e = base[:, None] + cand
+        if back is not None and not acc[0].max() + longest <= reach:   # NaN keeps no child
+            # the child's length, then its shortest way home to word[0]
+            ok &= acc[0][:, None] + lengths.take(e) + back.take(
+                (k + 1) * w[:, :1].astype(np.intp) + cand) <= reach
         idx = np.flatnonzero(ok)
         rows = idx // cand.shape[1]
         x = cand.ravel().take(idx)
-        e = base.take(rows) + x
+        e = e.ravel().take(idx)
         child = w.take(rows, axis=0)
         child[:, t] = x
         return [child, np.where(x == wtp.take(rows), p.take(rows), t + 1)] + [

@@ -637,6 +637,17 @@ class TestTraceOracle:
                     (beta,), 0
                 )
 
+    def test_single_equals_table_on_a_random_model(self):
+        # every class of the 12-step box and one past each end, at every n <= 12
+        rng = np.random.default_rng(29)
+        g = random_strong_graph(rng, 3)
+        w = random_weights(rng, g, 1, unit_roof=True, value_range=1)
+        table = trace_prime_counts_table(g, w, 12)
+        assert sum(map(len, table.values())) > 30
+        for n in range(1, 13):
+            for beta in range(-13, 14):
+                assert trace_prime_count(g, w, n, (beta,)) == table[n].get((beta,), 0)
+
     def test_matches_enumeration(self):
         rng = np.random.default_rng(101)
         for _ in range(4):

@@ -1,6 +1,7 @@
 """Graph validation, aperiodicity, canonical cycles, and enumeration."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,6 +324,24 @@ class TestEnumerate:
                 a[...] = 0
         assert scan_cycles(g, w.roof, w.classes, 6, max_len=5.0) is not scan
 
+    def test_ring_bound_needs_no_cube(self):
+        # the return bound of a 300-vertex ring takes O(k^2) memory; a
+        # (k + 1)^3 float temporary alone would take about 218 MB
+        k = 300
+        g = DirectedGraph(k, tuple((v, v % k + 1) for v in range(1, k + 1))
+                          + ((5, 1), (100, 97), (250, 240)))
+        roof, classes = dict.fromkeys(g.edges, 1.0), dict.fromkeys(g.edges, (0,))
+        graphs._memo = None
+        tracemalloc.start()
+        try:
+            scan = scan_cycles(g, roof, classes, 6, max_len=5.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [tuple(w[:t]) for w, t in zip(scan.words.tolist(), scan.period.tolist())] == [
+            (97, 98, 99, 100), (1, 2, 3, 4, 5)]
+        assert peak < 32 * 2**20
+
     def test_closed_walk_identity(self):
         # sum over m | n of m * (#prime cycles of period m) = trace(A^n)
         for g in (FULL2, GOLDEN, CYCLE3):
@@ -364,3 +383,43 @@ def test_too_few_edges_names_first_sink():
         "3 of 5 vertices have out-degree 0, the first is vertex 3",
         "3 of 5 vertices have in-degree 0, the first is vertex 3",
     ]
+
+
+class TestLengthBound:
+    """A scan at max_len = L is the unbounded scan of the same periods kept
+    where length <= L, on all four arrays and in order, at L equal to a
+    word-order cycle length and one float either side: the return-distance
+    prune and its slack drop no cycle whose float sum is <= L."""
+
+    ROOFS = (0.1, 0.2, 0.3, 0.35, 0.7, 1.1)
+
+    @staticmethod
+    def _check(g, roof, classes, n_max, exclude, bounds):
+        full = scan_cycles(g, roof, classes, n_max, exclude=exclude)
+        for bound in bounds:
+            for max_len in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)):
+                keep = full.length <= max_len
+                got = scan_cycles(g, roof, classes, n_max, max_len=float(max_len), exclude=exclude)
+                for name, a in vars(got).items():
+                    want = getattr(full, name)[keep]
+                    assert a.dtype == want.dtype and np.array_equal(a, want), (name, max_len)
+
+    def test_random_graphs_at_cycle_lengths(self):
+        rng = np.random.default_rng(7)
+        for case in range(24):
+            g = random_strong_graph(rng, int(rng.integers(2, 5)))
+            roof = {e: float(rng.choice(self.ROOFS)) for e in g.edges}
+            classes = {e: (int(rng.integers(-2, 3)),) for e in g.edges}
+            n_max = int(rng.integers(4, 8))
+            full = scan_cycles(g, roof, classes, n_max)
+            exclude = []
+            if case % 2:
+                exclude = [tuple(x for x in word if x) for word in full.words[::4].tolist()]
+            bounds = rng.choice(np.unique(full.length), size=min(8, len(full.length)))
+            self._check(g, roof, classes, n_max, exclude, bounds.tolist())
+
+    def test_bench3_with_removed_cycles(self, bench3):
+        g, w = bench3.graph, bench3.weights
+        exclude = [c.vertices for c in bench3.removed]
+        lengths = scan_cycles(g, w.roof, w.classes, 10).length
+        self._check(g, w.roof, w.classes, 10, exclude, np.unique(lengths)[::40].tolist())
