@@ -5,7 +5,8 @@ canonical-cycle scan (``graphs.scan_cycles``, the one memoised scan entry),
 pruned by the length bound; the admissible symbolic depth floor(T / r_min)
 is capped, and counts beyond the cap are refused rather than estimated.
 The equilibrium state that ``equidistribution_test`` integrates against
-is likewise solved once per (graph, roof and class of every edge, u).
+is likewise solved once per (graph, roof and class of every edge, u), and
+its window selection made once per (scan, window, class).
 Window counts, sweeps and totals read one row source, ``_rows``: when
 every roof is one integer-valued constant (``full2``, ``goldenmean``)
 its rows come from the walk engine below instead, and equal the scan's:
@@ -36,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,14 +175,19 @@ def _rows(g: DirectedGraph, w: WeightSystem, max_len: float, removed, budget_cap
     return scan.length, scan.classes, np.ones(len(scan.length), dtype=np.int64)
 
 
-def _edge_sums(g: DirectedGraph, words, period, phi: dict) -> np.ndarray:
-    """Sum of phi around each cycle, accumulated in word order with the
-    closing edge last, as ``birkhoff`` sums; the padding adds exact 0s."""
-    table = edge_table(g, phi)
+def _edge_index(g: DirectedGraph, words, period) -> np.ndarray:
+    """Each word's flat ``edge_table`` indices (k + 1) tail + head, in word
+    order with the closing edge last; the padding reads row 0, all 0s."""
     words = words.astype(np.intp)
     heads = np.roll(words, -1, axis=1)
     heads[np.arange(len(words)), period - 1] = words[:, 0]
-    return np.cumsum(table[words, heads], axis=1)[:, -1]
+    return (g.vertex_count + 1) * words + heads
+
+
+def _edge_sums(g: DirectedGraph, words, period, phi: dict) -> np.ndarray:
+    """Sum of phi around each cycle, accumulated in word order with the
+    closing edge last, as ``birkhoff`` sums; the padding adds exact 0s."""
+    return np.cumsum(edge_table(g, phi).ravel().take(_edge_index(g, words, period)), axis=1)[:, -1]
 
 
 def _in_window(lengths, classes, T, delta, target) -> np.ndarray:
@@ -666,6 +673,30 @@ def chebotarev_distribution(
     return ChebotarevResult(counts, frequencies, reference, total)
 
 
+# the last window selection, under its scan: the scan memo keys on content,
+# so other inputs give another scan, and the entry goes with its scan
+_selection: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _window_selection(g: DirectedGraph, scan: CycleScan, T, delta, target):
+    """The cycles of ``scan`` with length in (T - delta, T] and class
+    target, in lexicographic word order: their ``_edge_index`` rows and
+    their lengths, kept for the next call with the same scan and window."""
+    key, memo = (T, delta, target), _selection.get(scan)
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    sel = np.flatnonzero(_in_window(scan.length, scan.classes, T, delta, target))
+    if len(sel) == 0:
+        raise EmptySelection("no orbit matches the window and class constraints")
+    # lexicographic word order, not the scan's (period, word) order, which
+    # moves the last digit of the README's equidist full2 result
+    sel = sel[np.lexsort(scan.words[sel].T[::-1])]
+    picked = _edge_index(g, scan.words[sel], scan.period[sel]), scan.length[sel]
+    _selection.clear()
+    _selection[scan] = key, picked
+    return picked
+
+
 def equidistribution_test(
     g: DirectedGraph,
     w: WeightSystem,
@@ -677,20 +708,20 @@ def equidistribution_test(
 ) -> EquidistributionResult:
     """Average of the per-orbit time averages of phi over the window/class
     selection, against the equilibrium-state expectation at dd.u, whose
-    root ``pressure_jet`` keeps for the next call at the same direction."""
+    root ``pressure_jet`` keeps for the next call at the same direction.
+    The selection is made once per (scan, window, class) and shared by every
+    phi, whose sums add the same terms in the same order as cycle by cycle:
+    word order, closing edge last, then left to right in lexicographic word
+    order.  An average that overflows a float raises NonConvergence."""
     require_values(g.edge_set, phi, observable=True)
     target = target_class(w, q)
-    phi_vals = {e: float(v) for e, v in phi.items()}
     scan = _scan(g, w, q.T, q.removed, budget_cap)
-    sel = np.flatnonzero(_in_window(scan.length, scan.classes, q.T, q.delta, target))
-    if len(sel) == 0:
-        raise EmptySelection("no orbit matches the window and class constraints")
-    # summed in lexicographic word order, not the scan's (period, word)
-    # order, which moves the last digit of the README's equidist full2 result
-    sel = sel[np.lexsort(scan.words[sel].T[::-1])]
-    sums = _edge_sums(g, scan.words[sel], scan.period[sel], phi_vals)
-    total = 0.0
-    for s, length in zip(sums.tolist(), scan.length[sel].tolist()):
-        total += s / length
+    index, lengths = _window_selection(g, scan, q.T, q.delta, target)
+    phi_vals = {e: float(v) for e, v in phi.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.cumsum(edge_table(g, phi_vals).ravel().take(index), axis=1)[:, -1]
+        empirical = float(np.cumsum(sums / lengths)[-1]) / len(lengths)
+    if not math.isfinite(empirical):
+        raise NonConvergence("the average of the observable overflows a float")
     expected = integrate_observable(equilibrium_measure(g, w, dd.u), w, phi_vals)
-    return EquidistributionResult(total / len(sel), expected, len(sel))
+    return EquidistributionResult(empirical, expected, len(lengths))

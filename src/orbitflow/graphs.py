@@ -176,12 +176,15 @@ def require_valid(g: DirectedGraph) -> None:
 
 def require_values(edges, values, *, observable=False) -> None:
     """Refuse, naming every one in one line, the edges that ``values`` (a
-    dict or set of edges) has no weight for, or no observable value."""
+    dict or set of edges) has no weight for, or no observable value, or
+    an observable value (a dict) that is not finite."""
     missing = frozenset(edges).difference(values)
     if missing and observable:
         raise MissingEdgeValue(f"observable undefined on edges: {sorted(missing)}")
     if missing:
         raise MissingEdgeWeight(f"edges without weights: {sorted(missing)}")
+    if observable and (bad := sorted(e for e in edges if not math.isfinite(float(values[e])))):
+        raise InvalidArgument(f"observable not finite on edges: {bad}")
 
 
 def require_roofs(roof: dict) -> None:

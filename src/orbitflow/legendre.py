@@ -159,13 +159,16 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
     lambda(M(u, s)), E_mu[c] - rho E_mu[r]) from (0, P(0)): Jacobian
     [[E_mu[c]^T, -E_mu[r]], [I | rho] Sigma], Sigma the covariance of (c, -r)
     of one ``pair_jet`` (Parry & Pollicott, Asterisque 187-188), the step
-    halved until the sup-norm of F falls, one Perron pair a trial.  Stops at
-    |log lambda| <= 1e-13, |grad P - rho| <= _TOL and a u-step <= 1e-10 (or
-    a residual at float noise), and takes that last step.  The entropy is
-    h_mu / E_mu[r] (Abramov) plus <u, grad P - rho>.  Raises OutsideCone when
-    ``_certified_outside`` holds along u or rho - grad P after a damped step,
-    the halving stalls, |u| passes _DIVERGE_NORM or a Newton step is not
-    finite; DegenerateModel when the pressure Hessian is singular at 0.
+    t halved until the sup-norm of F falls, one Perron pair a trial, while
+    t >= 1e-12 and the fall Newton predicts, t |F|, is at least one rounding
+    unit of F, eps max(1, |rho|): a smaller fall is rounding, not progress.
+    Stops at |log lambda| <= 1e-13, |grad P - rho| <= _TOL and a u-step
+    <= 1e-10 (or a residual at float noise), and takes that last step.  The
+    entropy is h_mu / E_mu[r] (Abramov) plus <u, grad P - rho>.  Raises
+    OutsideCone when ``_certified_outside`` holds along u or rho - grad P
+    after a damped step, the halving stalls, |u| passes _DIVERGE_NORM or a
+    Newton step is not finite; DegenerateModel when the pressure Hessian is
+    singular at 0.
     """
     rho = np.asarray(rho, dtype=float).reshape(-1)
     d = w.dimension
@@ -176,7 +179,7 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
     eigs = np.linalg.eigvalsh(jet.hessian)
     if eigs.min() <= 1e-10 * max(1.0, eigs.max()):
         raise DegenerateModel("pressure Hessian singular at 0; direction set has empty interior")
-    noise = 16 * np.finfo(float).eps * max(1.0, float(np.abs(rho).max()))
+    ulp = np.finfo(float).eps * max(1.0, float(np.abs(rho).max()))
     residual = lambda jet: np.append(jet.log_lambda, jet.mean_roof * (jet.gradient - rho))
     u, s, f, jac = np.zeros(d), jet.pressure, residual(jet), np.empty((d + 1, d + 1))
     with np.errstate(all="ignore"):  # a huge rho makes F non-finite; the halving stalls
@@ -191,10 +194,11 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
                 raise OutsideCone("Newton step is not finite; direction outside the attainable set")
             grad_res = float(np.abs(jet.gradient - rho).max())
             if abs(jet.log_lambda) <= 1e-13 and grad_res <= _TOL and (
-                    float(np.abs(step[:d]).max()) <= 1e-10 or grad_res <= noise):
+                    float(np.abs(step[:d]).max()) <= 1e-10 or grad_res <= 16 * ulp):
                 break
             norm, t = float(np.abs(f).max()), 1.0
-            while t >= 1e-12:
+            least = max(1e-12, ulp / norm)   # norm > 0: F = 0 meets the stop test
+            while t >= least:
                 try:  # a transfer matrix that under/overflows shortens the step too
                     trial = pair_jet(r, c, u + t * step[:d], s + t * step[d])
                     f_trial = residual(trial)
@@ -208,7 +212,7 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
                                for v in (u + t * step[:d], rho - jet.gradient)):
                 raise OutsideCone("certified outside: every cycle ratio lies more than 1e-9 "
                                   "behind a line through rho")
-            if t < 1e-12:
+            if t < least:
                 raise OutsideCone(f"line search stalled with |F| = {norm:.3g}")
             u, s, jet, f = u + t * step[:d], s + t * step[d], trial, f_trial
             if float(np.linalg.norm(u)) > _DIVERGE_NORM:

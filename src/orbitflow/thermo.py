@@ -298,7 +298,8 @@ def pressure_hessian(g: DirectedGraph, w: WeightSystem, u) -> np.ndarray:
 
 def integrate_observable(mm: MarkovMeasure, w: WeightSystem, phi: dict) -> float:
     """Time average of a per-edge observable under the suspension of the
-    Markov measure: (sum m(e) phi(e)) / (sum m(e) roof(e))."""
+    Markov measure: (sum m(e) phi(e)) / (sum m(e) roof(e)); one that
+    overflows a float raises NonConvergence."""
     require_values(mm.edge_measure, phi, observable=True)
     require_roofs(w.roof)
     num = 0.0
@@ -306,4 +307,7 @@ def integrate_observable(mm: MarkovMeasure, w: WeightSystem, phi: dict) -> float
     for e, weight in mm.edge_measure.items():
         num += weight * float(phi[e])
         den += weight * w.roof[e]
-    return num / den
+    average = num / den
+    if not math.isfinite(average):
+        raise NonConvergence("the average of the observable overflows a float")
+    return average

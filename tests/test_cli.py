@@ -103,6 +103,9 @@ PINNED_REFUSALS = (
      "the predicted count overflows a float at T = 1e+300"),
     # a direction so far out that every trial point over/underflows
     ("entropy full2 --rho 1e300", 3, "line search stalled with |F| = 1e+300"),
+    # a finite observable whose cycle sums pass the float range
+    ("equidist full2 --T 10 --delta 2 --rho 0.5 --alpha 0 --obs 1>2=1.7e308", 3,
+     "the average of the observable overflows a float"),
 )
 
 

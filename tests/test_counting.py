@@ -1167,6 +1167,106 @@ class TestEquidistribution:
             equidistribution_test(FULL2, w, dd, q, dict(w.roof))
 
 
+class TestSharedSelection:
+    """One window selection per (scan, window, class) serves every
+    observable; each result equals a cold one, both memos cleared, bit for bit."""
+
+    @staticmethod
+    def run(g, w, q, phi):
+        dd = DirectionData(rho=q.rho, u=(0.0,) * w.dimension, entropy=0.0,
+                           pressure_at_u=0.0, hessian_h=-np.eye(w.dimension))
+        res = equidistribution_test(g, w, dd, q, phi)
+        return res.empirical.hex(), res.expected.hex(), res.n_orbits
+
+    def cold(self, *args):
+        counting._selection.clear()
+        graphs._memo = None
+        return self.run(*args)
+
+    @staticmethod
+    def phis(g):
+        edges = sorted(g.edges)
+        return [{e: float(e == hot) for e in edges} for hot in edges[:3]] + [
+            {e: math.sin(i + 0.5) for i, e in enumerate(edges)}]
+
+    @staticmethod
+    def query(bench3, T=16.0, delta=1.0, alpha=(0, 0), removed=None):
+        removed = bench3.removed if removed is None else removed
+        return CountQuery(T=T, delta=delta, rho=(0.3, 0.05), alpha=alpha, removed=removed)
+
+    def test_interleaved_windows_classes_and_observables(self, bench3):
+        g, w = bench3.graph, bench3.weights
+        a = self.query(bench3)
+        selections = [a, self.query(bench3, delta=2.0), a, self.query(bench3, alpha=(0, 1)), a]
+        want = {(q, i): self.cold(g, w, q, phi)
+                for q in set(selections) for i, phi in enumerate(self.phis(g))}
+        graphs._memo = None
+        counting._selection.clear()
+        for q in selections:
+            for i, phi in enumerate(self.phis(g)):
+                assert self.run(g, w, q, phi) == want[q, i]
+        assert len(set(want.values())) == len(want)   # no two calls agree by chance
+
+    def test_roof_edited_in_place(self, bench3):
+        g, q = bench3.graph, self.query(bench3)
+        w = WeightSystem(bench3.weights.b, bench3.weights.meridians,
+                         dict(bench3.weights.roof), dict(bench3.weights.classes))
+        phi = self.phis(g)[-1]
+        before = self.run(g, w, q, phi)
+        w.roof[(1, 1)] += 0.25   # same object, new content: a new scan
+        after = self.run(g, w, q, phi)
+        assert after == self.cold(g, w, q, phi) and after[0] != before[0]
+
+    def test_calls_differing_only_in_removed(self, bench3):
+        g, w = bench3.graph, bench3.weights
+        phi = self.phis(g)[-1]
+        # the window (0, 6] of class (1, 0) holds the removed fixed point (1,)
+        kept = self.query(bench3, T=6.0, delta=6.0, removed=())
+        dropped = self.query(bench3, T=6.0, delta=6.0)
+        got = [self.run(g, w, kept, phi), self.run(g, w, dropped, phi)]
+        assert got == [self.cold(g, w, kept, phi), self.cold(g, w, dropped, phi)]
+        assert got[0][2] == got[1][2] + 1
+
+    def test_the_selection_goes_with_its_scan(self, bench3):
+        g, w, q = bench3.graph, bench3.weights, self.query(bench3)
+        phi = self.phis(g)[-1]
+        first = self.run(g, w, q, phi)
+        assert list(counting._selection) == [counting._scan(g, w, q.T, q.removed, 32)]
+        direction_hull(g, w, g.vertex_count)   # a depth-k scan replaces the memo's one entry
+        assert len(counting._selection) == 0
+        assert self.run(g, w, q, phi) == first == self.cold(g, w, q, phi)
+
+    def test_empty_window_refused_on_every_call(self, bench3):
+        g, w = bench3.graph, bench3.weights
+        phi = self.phis(g)[-1]
+        self.run(g, w, self.query(bench3), phi)
+        for _ in range(2):
+            with pytest.raises(EmptySelection, match="^no orbit matches the window"):
+                self.run(g, w, self.query(bench3, alpha=(50, 0)), phi)
+
+    def test_matches_a_cycle_by_cycle_reference(self, bench3):
+        # each cycle's phi summed in word order with the closing edge last,
+        # then sum / length added up in lexicographic word order
+        g, w, q = bench3.graph, bench3.weights, self.query(bench3, delta=4.0)
+        phi = self.phis(g)[-1]
+        scan = counting._scan(g, w, q.T, q.removed, 32)
+        target = target_class(w, q)
+        rows = []
+        for word, t, length, cls in zip(scan.words.tolist(), scan.period.tolist(),
+                                        scan.length.tolist(), scan.classes.tolist()):
+            if q.T - q.delta < length <= q.T and tuple(cls) == target:
+                word = word[:t]
+                s = 0.0
+                for e in zip(word, word[1:] + word[:1]):
+                    s += phi[e]
+                rows.append((word, s / length))
+        total = 0.0
+        for _, x in sorted(rows):
+            total += x
+        assert len(rows) > 100
+        assert self.run(g, w, q, phi)[::2] == ((total / len(rows)).hex(), len(rows))
+
+
 class TestJitterAverage:
     def test_matches_manual_mean(self):
         w = into2()

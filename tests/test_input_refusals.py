@@ -23,6 +23,7 @@ from orbitflow import (
     MarkovMeasure,
     MissingEdgeValue,
     MissingEdgeWeight,
+    NonConvergence,
     PrimeCycle,
     WeightSystem,
     SingularHessian,
@@ -60,6 +61,9 @@ Q2 = CountQuery(T=5.0, delta=1.0, rho=(0.5, 0.5), alpha=(0, 0))
 DD = DirectionData(rho=(0.5,), u=(0.0,), entropy=0.5, pressure_at_u=0.5, hessian_h=-1.0)
 MEASURE = MarkovMeasure(None, None, dict.fromkeys(FULL2.edges, 0.25))
 PHI = {(1, 1): 1.0, (2, 1): 0.5}
+PHI_NOT_FINITE = {(1, 1): 1.0, (1, 2): math.nan, (2, 1): 0.5, (2, 2): -math.inf}
+NOT_FINITE = "observable not finite on edges: [(1, 2), (2, 2)]"
+OVERFLOW = "the average of the observable overflows a float"
 
 WEIGHTS = "edges without weights: [(2, 2)]"
 ONE_D = "has length 2, class dimension is 1"
@@ -103,6 +107,17 @@ INPUT_REFUSALS = {
                               MissingEdgeValue, "observable undefined on edges: [(1, 2), (2, 2)]"),
     "integrate_observable": (lambda: integrate_observable(MEASURE, W, PHI),
                              MissingEdgeValue, "observable undefined on edges: [(1, 2), (2, 2)]"),
+    "equidistribution_test, not finite": (
+        lambda: equidistribution_test(FULL2, W, DD, Q, PHI_NOT_FINITE), InvalidArgument, NOT_FINITE),
+    "integrate_observable, not finite": (
+        lambda: integrate_observable(MEASURE, W, PHI_NOT_FINITE), InvalidArgument, NOT_FINITE),
+    # finite values whose sums overflow: refused, with no RuntimeWarning
+    "equidistribution_test, overflow": (
+        lambda: equidistribution_test(FULL2, W, DD, Q, dict.fromkeys(FULL2.edges, 1e308)),
+        NonConvergence, OVERFLOW),
+    "integrate_observable, overflow": (
+        lambda: integrate_observable(MEASURE, full2_weights(0.5), dict.fromkeys(FULL2.edges, 1e308)),
+        NonConvergence, OVERFLOW),
     "target_class": (lambda: target_class(W, Q2), DimensionMismatch, "rho " + ONE_D),
     "trace_prime_count": (lambda: trace_prime_count(FULL2, W, 3, (0, 0)),
                           DimensionMismatch, "class vector " + ONE_D),

@@ -183,6 +183,23 @@ class TestSolveU:
         dd = solve_u(g, w, pressure_gradient(g, w, u))
         assert np.abs(np.array(dd.u) - u).max() <= 1e-8
 
+    @pytest.mark.parametrize("seed,calls", [(198, 78), (898, 96)])
+    def test_halving_stops_at_a_residual_of_float_noise(self, monkeypatch, seed, calls):
+        # u near the boundary: |F| sits at 1.1 and 4 times float noise, the
+        # Newton steps grow past 1e4, and no trial shows a fall above the
+        # rounding of F; halving on to t = 1e-12 took `calls` pairs in all
+        rng = np.random.default_rng(seed)
+        k, d = rng.integers(2, 5), rng.integers(1, 3)
+        g = random_strong_graph(rng, k, ensure_aperiodic=True)
+        w = random_weights(rng, g, d)
+        rho = pressure_gradient(g, w, rng.uniform(-4, 4, d))
+        pairs = []
+        pair_jet = legendre.pair_jet
+        monkeypatch.setattr(legendre, "pair_jet", lambda *a: pairs.append(1) or pair_jet(*a))
+        with pytest.raises(OutsideCone, match="line search stalled"):
+            solve_u(g, w, rho)
+        assert len(pairs) <= calls - 30
+
     def test_perron_pair_budget(self, monkeypatch, bench3):
         # a trial point of the joint (u, s) Newton costs one Perron pair:
         # 5.0 pairs a solve over these directions, 12.8 with a line search
