@@ -23,12 +23,14 @@ One graded walk-count engine checks the class counts independently of
 the scan.  It counts closed walks by the element of a finite group
 (numbered 0..N-1) that their ordered edge labels multiply to, in a
 (k, k, N) array W[j, i, x], end vertex first so that a step gathers from one
-contiguous block per end vertex: int64 while the entries and trace of A^m
-stay under 2^62, Python ints from then on.  It inverts them per conjugacy
-class to prime-cycle counts by one Mobius recursion behind one entry,
-``_walk_primes``, which serves the unit-roof oracle on a box Z^d / diag(S)
-that no class of a walk of at most n steps wraps around, the integer-roof
-rows, and the density check over a ``FiniteQuotient`` (integer lattice
+contiguous block per end vertex, an identity-labelled edge adding its
+block as it is: int64 while the entries and trace of A^m stay under 2^62,
+Python ints from then on.  It inverts them per conjugacy class to
+prime-cycle counts by one Mobius recursion, its shorter orbits summed in
+int64 under the same exact bound and its power maps composed, behind one
+entry, ``_walk_primes``, which serves the unit-roof oracle on a box
+Z^d / diag(S) that no class of a walk of at most n steps wraps around,
+the integer-roof rows, and the density check over a ``FiniteQuotient`` (integer lattice
 or explicit finite group), whose class frequencies approach |C| / |G|.
 """
 
@@ -52,8 +54,8 @@ from .errors import (
     NonConvergence,
     RoofNotUnit,
 )
-from .graphs import (CycleScan, DirectedGraph, PrimeCycle, edge_table, require_roofs,
-                     require_valid, require_values, scan_cycles)
+from .graphs import (CycleScan, DirectedGraph, PrimeCycle, edge_table, require_period,
+                     require_roofs, require_valid, require_values, scan_cycles)
 from .legendre import DirectionData, entropy_hessian, solve_u
 from .thermo import equilibrium_measure, flow_pressure, integrate_observable
 from .weights import WeightSystem, require_dimension, smith_decomposition
@@ -281,13 +283,16 @@ def _closed_walks(g: DirectedGraph, w: WeightSystem, quot: "FiniteQuotient", n_m
     W[j, i, x] counts the walks i -> j with product x.  End-major, the walks
     ending at t are one contiguous (k, N) block W[t], so the step along the
     edge (t, h) labelled a takes W[t] at x a^-1 into W[h, :, x], several times
-    faster than a fancy index into the strided W[:, t].  W[j, i] sums to (A^m)_ij:
+    faster than a fancy index into the strided W[:, t]; an edge labelled by
+    the identity adds W[t] as it is.  W[j, i] sums to (A^m)_ij:
     max A^m bounds W and trace A^m each class sum, both at most k r^m for the
     largest out-degree r, so no power is taken while k r^n_max is under 2^62.
     """
     every, diag = np.arange(quot.order), np.arange(g.vertex_count)
-    steps = [(t - 1, h - 1, np.argsort(quot._mul(every, quot._edge_element(w, (t, h)))))
-             for t, h in g.edges]
+    steps = []
+    for t, h in g.edges:
+        a = quot._edge_element(w, (t, h))
+        steps.append((t - 1, h - 1, None if a == quot._identity else np.argsort(quot._mul(every, a))))
     adjacency, paths = g.adjacency().astype(float), np.eye(len(diag))
     wide = len(diag) * int(adjacency.sum(axis=1).max()) ** n_max >= _INT64_LIMIT
     W = np.zeros((len(diag), len(diag), quot.order), dtype=np.int64)
@@ -298,7 +303,7 @@ def _closed_walks(g: DirectedGraph, w: WeightSystem, quot: "FiniteQuotient", n_m
             W = W.astype(object)
         step = np.zeros_like(W)
         for t, h, inverse in steps:
-            step[h] += W[t].take(inverse, axis=1)
+            step[h] += W[t] if inverse is None else W[t].take(inverse, axis=1)
         W = step
         closed = W[diag, diag]
         if wide and np.trace(paths) >= _INT64_LIMIT:   # W may still be int64
@@ -314,18 +319,32 @@ def _prime_counts(walks, quot: "FiniteQuotient"):
 
     A prime cycle of period p in class c, run q times, closes p walks of
     length p q in the class of its q-th power (well defined on conjugacy
-    classes); those are subtracted, in period m's dtype, before dividing by m.
+    classes).  The power maps x -> x^q compose, x^(p r) = (x^r)^p for p
+    the least prime factor of q, so only a prime q takes a group product.
+    Period m's shorter orbits number sum_{q | m, q > 1} (m / q) P_{m / q},
+    P_p the exact total of row p: they are summed in int64 while that
+    number is under _INT64_LIMIT, as it is wherever row m is int64 (it is
+    at most trace A^m), else in Python ints, and subtracted once before
+    dividing by m, so each row keeps its walk counts' dtype.
     """
-    prime = []
-    powers = [np.full_like(quot._reps, quot._identity)]   # reps^q, q = 0, 1, ...
+    n, every = len(walks), np.arange(quot.order)
+    maps, prime, totals = {1: every}, [], []   # maps[q][x] = x^q, kept while a later period reads it
     for m, walk in enumerate(walks, 1):
-        powers.append(quot._mul(powers[-1], quot._reps))
-        acc = walk.copy()
-        for q in _divisors(m)[1:]:
-            np.subtract.at(acc, quot._class_of[powers[q]], (m // q) * prime[m // q - 1])
+        divisors = _divisors(m)[1:]
+        if m > 1:
+            p = divisors[0]   # the least prime factor
+            maps[m] = quot._mul(maps[m - 1], every) if p == m else maps[p][maps[m // p]]
+        bound = sum((m // q) * totals[m // q - 1] for q in divisors)
+        sub = np.zeros(len(walk), dtype=np.int64 if bound < _INT64_LIMIT else object)
+        for q in divisors:
+            np.add.at(sub, quot._class_of[maps[q][quot._reps]], (m // q) * prime[m // q - 1])
+        acc = walk - sub
         if ((acc % m != 0) | (acc < 0)).any():
             raise AssertionError(f"inconsistent walk counts at period {m}")
         prime.append(acc // m)
+        totals.append(int(prime[-1].sum()))
+        if 2 * (m - 1) > n:   # a map past n / 2 is read by the next period alone
+            del maps[m - 1]
     return prime
 
 
@@ -339,8 +358,7 @@ def _walk_primes(g: DirectedGraph, w: WeightSystem, n_max: int, quot=None, remov
     quotient limit.  Roof values are not read."""
     require_values(g.edge_set, w.roof)
     require_valid(g)
-    if n_max < 1:
-        raise InvalidArgument(f"period bound must be >= 1, got {n_max}")
+    n_max = require_period(n_max)
     if quot is None:   # the box sides in Python ints, which cannot wrap
         columns = list(zip(*(w.classes[e] for e in g.edges)))
         lo = [n_max * min(0, *x) for x in columns]
@@ -366,8 +384,9 @@ def _unit_walk_primes(g: DirectedGraph, w: WeightSystem, n_max: int):
 def trace_prime_counts_table(g: DirectedGraph, w: WeightSystem, n_max: int):
     """prime[m][beta] for all m <= n_max, by walk traces and inversion; roof must be 1."""
     keys, prime = _unit_walk_primes(g, w, n_max)
-    return {m: dict(zip(itertools.compress(keys, (row != 0).tolist()), row[row != 0].tolist()))
-            for m, row in enumerate(prime, 1)}
+    keys = np.fromiter(keys, dtype=object, count=len(keys))
+    return {m: dict(zip(keys[nz].tolist(), row[nz].tolist()))
+            for m, row in enumerate(prime, 1) for nz in [row.nonzero()[0]]}
 
 
 def trace_prime_count(g: DirectedGraph, w: WeightSystem, n: int, beta) -> int:
@@ -656,8 +675,9 @@ def chebotarev_distribution(
     inverted to prime-cycle counts class by class.
     """
     keys, prime = _walk_primes(g, w, n_max, quot, removed)
-    counts = dict(zip(keys, map(sum, zip(*(p.tolist() for p in prime)))))
-    total = sum(counts.values())
+    total = sum(int(p.sum()) for p in prime)   # each row's sum is exact in its dtype
+    dtype = np.int64 if total < 2**63 else object   # and every class's sum in this one
+    counts = dict(zip(keys, sum(p.astype(dtype) for p in prime).tolist()))
     if total <= 0:
         raise EmptySelection("no prime cycles within the probed period")
     frequencies = {key: cnt / total for key, cnt in counts.items()}

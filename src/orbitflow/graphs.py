@@ -32,6 +32,7 @@ and the emit test alone decides which cycles are found.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -187,6 +188,18 @@ def require_values(edges, values, *, observable=False) -> None:
         raise InvalidArgument(f"observable not finite on edges: {bad}")
 
 
+def require_period(n) -> int:
+    """The period bound n as an int (numpy integers too), refused unless an
+    integer >= 1."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidArgument(f"period bound must be an integer, got {n!r}") from None
+    if n < 1:
+        raise InvalidArgument(f"period bound must be >= 1, got {n}")
+    return n
+
+
 def require_roofs(roof: dict) -> None:
     """Refuse a roof that is not positive and finite on every edge of the
     dict; callers check where they read it, as it can be edited in place."""
@@ -277,8 +290,7 @@ def scan_cycles(
     _memo = None  # frees the old scan before the new one is built
     require_valid(g)
     require_roofs(roof)
-    if n_max < 1:
-        raise InvalidArgument(f"n_max must be >= 1, got {n_max}")
+    n_max = require_period(n_max)
     top = max((abs(int(x)) for e in edges for x in classes[e]), default=0)
     if n_max * top >= 2**63:  # a class sum could wrap in int64
         raise InvalidArgument(f"class entries up to {top} summed over {n_max} "

@@ -729,6 +729,41 @@ class TestTraceOracle:
         assert keys == [(0, 0)]
         assert [row.dtype for row in prime] == [np.dtype(np.int64)] * 39 + [np.dtype(object)] * 6
 
+    def test_shorter_orbits_leave_int64_only_past_the_bound(self, bench3):
+        # all-zero classes again: period m subtracts sum over d | m, d < m,
+        # of d P_d shorter orbits, about 39 P_39 ~ 3^39 < 2^62 at m = 78 and
+        # 40 P_40 ~ 3^40 > 2^63 at m = 80, the only period to 80 past 2^62
+        g = bench3.graph
+        w = WeightSystem(b=0, meridians=2, roof=dict.fromkeys(g.edges, 1.0),
+                         classes=dict.fromkeys(g.edges, (0, 0)))
+        want = necklaces(3, 80)
+        shorter = {m: sum(d * want[d] for d in range(1, m) if m % d == 0) for m in want}
+        assert max(shorter[m] for m in range(1, 80)) == shorter[78] < 2**62 < 2**63 < shorter[80]
+        quot = FiniteQuotient.from_modulus(1, 2)
+        walks = counting._closed_walks(g, w, quot, 80)
+        spy = _ZerosSpy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(counting, "np", spy)
+            prime = counting._prime_counts(walks, quot)
+        assert spy.dtypes == [np.dtype(np.int64)] * 79 + [np.dtype(object)]
+        assert [row.dtype for row in prime] == [np.dtype(np.int64)] * 39 + [np.dtype(object)] * 41
+        assert [row.tolist() for row in prime] == [[want[m]] for m in want]
+        assert trace_prime_counts_table(g, w, 80) == {m: {(0, 0): want[m]} for m in want}
+
+
+class _ZerosSpy:
+    """numpy as ``counting`` reads it, logging the dtype of each ``zeros``."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype=float):
+        self.dtypes.append(np.dtype(dtype))
+        return np.zeros(shape, dtype=dtype)
+
 
 class TestPredict:
     def test_full2_symmetric_value(self):
@@ -1076,6 +1111,41 @@ class TestChebotarev:
         for key, cnt in res.counts.items():
             assert cnt == brute.get(key, 0)
         assert sum(res.counts.values()) == sum(brute.values())
+
+    def test_identity_labels_off_index_zero(self, bench3):
+        # Z/3 listed as (1, 0, 2): the identity 0 is element 1, and element
+        # 0 (the value 1) labels edges too, so an engine that took element 0
+        # for the identity would miscount; the classes are value sums mod 3
+        g, w, rem = bench3.graph, bench3.weights, set(bench3.removed)
+        values = (1, 0, 2)
+        table = {(a, b): (a + b) % 3 for a in values for b in values}
+        labels = dict(zip(g.edges, (0, 1, 0, 2, 0, 1, 0, 0, 2)))
+        quot = FiniteQuotient.from_group(values, table, labels)
+        assert quot._identity == 1
+        res = chebotarev_distribution(g, w, bench3.removed, quot, 8)
+        brute = Counter()
+        for word in brute_force_prime_cycles(g, 8):
+            c = PrimeCycle(word)
+            if c not in rem:
+                brute[(sum(labels[e] for e in c.edges()) % 3,)] += 1
+        assert res.counts == {(x,): brute[(x,)] for x in values}
+
+    def test_lattice_holding_every_edge_class(self, bench3):
+        # bench3's classes mapped into L, the column span of M: every edge
+        # label is the identity, so no step gathers, and every prime cycle
+        # lands in the identity's class
+        g, rem = bench3.graph, set(bench3.removed)
+        M = np.array([[2, 1], [0, 3]])
+        w = WeightSystem(b=0, meridians=2, roof=bench3.weights.roof,
+                         classes={e: tuple((M @ c).tolist()) for e, c in bench3.weights.classes.items()})
+        quot = FiniteQuotient.from_lattice(M.tolist())
+        assert all(quot._edge_element(w, e) == quot._identity for e in g.edges)
+        with pytest.warns(UserWarning, match="^5 of 6 quotient classes"):
+            res = chebotarev_distribution(g, w, bench3.removed, quot, 8)
+        brute = Counter(quot.cycle_class(w, c) for c in map(PrimeCycle, brute_force_prime_cycles(g, 8))
+                        if c not in rem)
+        assert list(brute) == [(0, 0)]
+        assert res.counts == {key: brute[key] for key in quot.all_class_keys()}
 
     def test_deviation_shrinks_with_depth(self):
         quot = FiniteQuotient.from_modulus(2, 1)

@@ -31,9 +31,12 @@ from orbitflow import (
     canonical_form,
     chebotarev_distribution,
     cycle_table,
+    direction_hull,
     entropy_hessian,
+    enumerate_prime_cycles,
     equidistribution_test,
     flow_pressure,
+    generation_check,
     integrate_observable,
     margulis_total,
     perron,
@@ -41,6 +44,7 @@ from orbitflow import (
     solve_u,
     target_class,
     trace_prime_count,
+    trace_prime_counts_table,
     weights_from_chords,
 )
 
@@ -68,6 +72,7 @@ OVERFLOW = "the average of the observable overflows a float"
 WEIGHTS = "edges without weights: [(2, 2)]"
 ONE_D = "has length 2, class dimension is 1"
 ROOF = "roof must be positive and finite, got {} on edge {}"
+NOT_INT = "period bound must be an integer, got {}"
 TWO_CYCLE = DirectedGraph(2, ((1, 2), (2, 1)))
 PATH3 = DirectedGraph(3, ((1, 2), (2, 1), (2, 3), (3, 2)))
 
@@ -155,6 +160,17 @@ INPUT_REFUSALS = {
         lambda: chebotarev_distribution(TWO_CYCLE, full2_weights(skip=[(1, 1), (2, 2)]), (),
                                         FiniteQuotient.from_modulus(2, 1), 1),
         EmptySelection, "no prime cycles within the probed period"),
+    **{f"{caller}, period bound {n}": (lambda call=call, n=n: call(n), InvalidArgument,
+                                       NOT_INT.format(n))
+       for caller, call, n in (
+           ("scan", lambda n: scan_cycles(FULL2, W.roof, W.classes, n), 2.5),
+           ("enumerate_prime_cycles", lambda n: enumerate_prime_cycles(FULL2, n), 2.5),
+           ("direction_hull", lambda n: direction_hull(FULL2, W, n), 2.5),
+           ("generation_check", lambda n: generation_check(FULL2, W, n), 2.5),
+           ("trace_prime_counts_table", lambda n: trace_prime_counts_table(FULL2, W, n), 2.5),
+           ("trace_prime_count", lambda n: trace_prime_count(FULL2, W, n, (0,)), 5.0),
+           ("chebotarev_distribution", lambda n: chebotarev_distribution(
+               FULL2, W, (), FiniteQuotient.from_modulus(2, 1), n), 1.5))},
     "entropy_hessian, not finite": (
         lambda: entropy_hessian(DirectionData((0.5,), (0.0,), 0.5, 0.5, np.array([[np.nan]]))),
         SingularHessian, "entropy Hessian is not finite"),
