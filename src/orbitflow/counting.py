@@ -599,7 +599,10 @@ class FiniteQuotient:
             except TypeError:
                 return -1
         try:
-            mult = np.array([[find(table[a, b]) for b in elems] for a in elems])
+            try:
+                mult = np.array([[index.get(table[a, b], -1) for b in elems] for a in elems])
+            except TypeError:   # an unhashable product: each by find
+                mult = np.array([[find(table[a, b]) for b in elems] for a in elems])
         except KeyError as exc:
             raise InvalidArgument(f"multiplication table has no entry {exc}") from None
         for a, b in np.argwhere(mult < 0)[:1]:   # the first product outside elems, if any

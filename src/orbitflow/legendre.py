@@ -25,7 +25,7 @@ from .errors import (DegenerateModel, DimensionMismatch, EmptySelection, NonConv
                      OutsideCone, SingularHessian)
 from .graphs import DirectedGraph, require_valid, scan_cycles
 from .weights import WeightSystem, require_dimension
-from .thermo import edge_arrays, pair_jet, pressure_jet
+from .thermo import edge_arrays, edge_stack, pair_jet, pressure_jet
 
 
 class Membership(enum.Enum):
@@ -155,10 +155,10 @@ def _certified_outside(r: np.ndarray, c: np.ndarray, v: np.ndarray, rho: np.ndar
 
 
 def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
-    """Dual parameter u(rho), with s = P(u), by Newton on F(u, s) = (log
-    lambda(M(u, s)), E_mu[c] - rho E_mu[r]) from (0, P(0)): Jacobian
-    [[E_mu[c]^T, -E_mu[r]], [I | rho] Sigma], Sigma the covariance of (c, -r)
-    of one ``pair_jet`` (Parry & Pollicott, Asterisque 187-188), the step
+    """Dual parameter u(rho), with s = P(u), by Newton on F(x) = (log
+    lambda(M(x)), [I | rho] E_mu[A]) in x = (u, s) from (0, P(0)), A = (c, -r):
+    Jacobian [[E_mu[A]^T], [I | rho] Sigma], Sigma the covariance of A of
+    one ``pair_jet`` (Parry & Pollicott, Asterisque 187-188), the step
     t halved until the sup-norm of F falls, one Perron pair a trial, while
     t >= 1e-12 and the fall Newton predicts, t |F|, is at least one rounding
     unit of F, eps max(1, |rho|): a smaller fall is rounding, not progress.
@@ -180,12 +180,13 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
     if eigs.min() <= 1e-10 * max(1.0, eigs.max()):
         raise DegenerateModel("pressure Hessian singular at 0; direction set has empty interior")
     ulp = np.finfo(float).eps * max(1.0, float(np.abs(rho).max()))
-    residual = lambda jet: np.append(jet.log_lambda, jet.mean_roof * (jet.gradient - rho))
-    u, s, f, jac = np.zeros(d), jet.pressure, residual(jet), np.empty((d + 1, d + 1))
+    a, b = edge_stack(r, c), np.hstack([np.eye(d), rho[:, None]])
+    residual = lambda jet: np.concatenate(([jet.log_lambda], b @ jet.mean))
+    x, f, jac = np.append(np.zeros(d), jet.pressure), residual(jet), np.empty((d + 1, d + 1))
+    norm = float(np.abs(f).max())
     with np.errstate(all="ignore"):  # a huge rho makes F non-finite; the halving stalls
         for _ in range(_MAX_ITER):
-            jac[0, :d], jac[0, d] = jet.mean_roof * jet.gradient, -jet.mean_roof
-            jac[1:] = jet.covariance[:d] + rho[:, None] * jet.covariance[d]
+            jac[0], jac[1:] = jet.mean, b @ jet.covariance
             try:
                 step = np.linalg.solve(jac, -f)
             except np.linalg.LinAlgError:  # singular: refused below as not finite
@@ -196,26 +197,28 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
             if abs(jet.log_lambda) <= 1e-13 and grad_res <= _TOL and (
                     float(np.abs(step[:d]).max()) <= 1e-10 or grad_res <= 16 * ulp):
                 break
-            norm, t = float(np.abs(f).max()), 1.0
+            t = 1.0
             least = max(1e-12, ulp / norm)   # norm > 0: F = 0 meets the stop test
             while t >= least:
                 try:  # a transfer matrix that under/overflows shortens the step too
-                    trial = pair_jet(r, c, u + t * step[:d], s + t * step[d])
+                    x_trial = x + t * step
+                    trial = pair_jet(a, x_trial)
                     f_trial = residual(trial)
-                    if float(np.abs(f_trial).max()) < norm:
+                    norm_trial = float(np.abs(f_trial).max())
+                    if norm_trial < norm:
                         break
                 except NonConvergence:
                     pass
                 t *= 0.5
             # after a damped step, or none: u and rho - grad P as separating normals
             if t < 1.0 and any(_certified_outside(r, c, v, rho)
-                               for v in (u + t * step[:d], rho - jet.gradient)):
+                               for v in (x[:d] + t * step[:d], rho - jet.gradient)):
                 raise OutsideCone("certified outside: every cycle ratio lies more than 1e-9 "
                                   "behind a line through rho")
             if t < least:
                 raise OutsideCone(f"line search stalled with |F| = {norm:.3g}")
-            u, s, jet, f = u + t * step[:d], s + t * step[d], trial, f_trial
-            if float(np.linalg.norm(u)) > _DIVERGE_NORM:
+            x, jet, f, norm = x_trial, trial, f_trial, norm_trial
+            if float(x[:d] @ x[:d]) > _DIVERGE_NORM ** 2:
                 raise OutsideCone(f"dual parameter diverged (|u| > {_DIVERGE_NORM:g}); "
                                   "direction outside the attainable set")
         else:
@@ -229,7 +232,7 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
             hess_h = -np.linalg.inv(jet.hessian)
         except np.linalg.LinAlgError as exc:
             raise SingularHessian(str(exc)) from exc
-        u, p = u + step[:d], jet.transition
+        u, p = x[:d] + step[:d], jet.transition
         h_mu = -float((jet.stationary[:, None] * np.where(p > 0, p * np.log(p), 0.0)).sum())
         entropy = h_mu / jet.mean_roof + float(u @ (jet.gradient - rho))
     return DirectionData(tuple(map(float, rho)), tuple(map(float, u)),

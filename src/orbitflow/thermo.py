@@ -3,16 +3,15 @@ measures.
 
 For an edge-locally-constant potential <u, class> - s * roof the pressure
 of the vertex shift is the log of the Perron eigenvalue of the weighted
-adjacency matrix M(u, s), and the pressure of the suspension flow at u is
-the unique root s* of log lambda(M(u, s)) = 0 (the roof is strictly
-positive, so s -> log lambda is strictly decreasing).  The equilibrium
-measure is the Markov chain built from the Perron eigendata at s*.  One
-Perron pair at any s gives the chain, log lambda, the gradient, the
-covariance of (class, -roof) and the closed-form Hessian (when read), and
-the pressure corrected by one Newton step in s: a root solve and
-``legendre.solve_u`` are Newton over such pairs, and ``pressure_jet``
-keeps its last roots by content, as the scan entry keeps its last scan.
-"""
+adjacency matrix M(x) = exp(A . x) on the edges, A = (class, -roof) and x =
+(u, s); the pressure of the suspension flow at u is the unique root s* of
+log lambda(M(u, s)) = 0 (the roof is positive, so log lambda falls in s),
+where the Perron eigendata give the equilibrium measure as a Markov chain.
+One Perron pair, one eigensolve and one inverse at any x, gives the chain,
+log lambda, the gradient, the covariance of A and the Hessian (when read),
+and the pressure corrected by one Newton step in s: a root solve and
+``legendre.solve_u`` are Newton over such pairs, and ``pressure_jet`` keeps
+its last roots by content."""
 
 from __future__ import annotations
 
@@ -29,14 +28,16 @@ from .weights import WeightSystem, require_dimension
 
 @dataclass(frozen=True)
 class PerronData:
-    """Dominant eigen-triple of a primitive nonnegative matrix.
-
-    right is scaled to max-entry 1 and left so that left . right = 1.
-    """
+    """Dominant eigen-triple of a primitive nonnegative matrix M and its chain:
+    right has max-entry 1, left . right = 1, stationary = left * right,
+    transition = M r_j / (eigenvalue r_i), fundamental = (I - transition + 1 1^T)^-1."""
 
     eigenvalue: float
     right: np.ndarray
     left: np.ndarray
+    stationary: np.ndarray
+    transition: np.ndarray
+    fundamental: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,31 +70,16 @@ def _as_u(c: np.ndarray, u) -> np.ndarray:
     return u
 
 
-def _transfer(r: np.ndarray, cu: np.ndarray, s: float) -> np.ndarray:
-    return np.where(r > 0, np.exp(cu - s * r), 0.0)
+def edge_stack(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """A = (class, -roof) of each edge, k x k x (d + 1), 0 off the edges."""
+    return np.concatenate([c, -r[:, :, None]], axis=2)
 
 
 def transfer_matrix(g: DirectedGraph, w: WeightSystem, u, s: float) -> np.ndarray:
     """M[i-1, j-1] = exp(<u, class(i->j)> - s * roof(i->j)) on edges, 0 off."""
     r, c = edge_arrays(g, w)
     with np.errstate(over="ignore", under="ignore"):
-        return _transfer(r, c @ _as_u(c, u), s)
-
-
-def _dominant_pair(m: np.ndarray):
-    """Eigenvalue of largest real part, the modulus of its eigenvector, and
-    all the eigenvalues.
-
-    For a primitive nonnegative matrix that eigenvalue is the Perron root
-    (it strictly dominates every other in modulus) and its eigenvector is
-    a complex multiple of a strictly positive one.
-    """
-    try:
-        vals, vecs = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigensolve failed: {exc}") from None
-    top = int(np.argmax(vals.real))
-    return float(vals[top].real), np.abs(vecs[:, top]), vals
+        return np.where(r > 0, np.exp(edge_stack(r, c) @ np.append(_as_u(c, u), s)), 0.0)
 
 
 def _collatz_wielandt(m: np.ndarray):
@@ -112,27 +98,40 @@ def _collatz_wielandt(m: np.ndarray):
 
 
 def _perron_data(m: np.ndarray) -> PerronData:
-    lam, right, vals = _dominant_pair(m)
-    _, left, _ = _dominant_pair(m.T)
+    try:
+        vals, vecs = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigensolve failed: {exc}") from None
+    top = int(np.argmax(vals.real))
+    lam, right, left = float(vals[top].real), np.abs(vecs[:, top]), None
     for polished in (False, True):
         right = right / right.max()
-        left = left / float(left @ right)
-        if (math.isfinite(lam) and lam > 0.0 and np.isfinite(left).all()
-                and (right > 0.0).all() and (left > 0.0).all()):
-            return PerronData(lam, right, left)
-        if polished or (np.abs(vals - lam) <= 4.0 * np.finfo(float).eps * lam).sum() < 2:
+        p = m * right / (lam * right[:, None])
+        try:
+            z = np.linalg.inv(np.eye(len(m)) - p + 1.0)
+        except np.linalg.LinAlgError:  # the chain splits in double precision
+            z = np.full_like(p, np.nan)
+        # 1^T Z, then two steps of the chain, which keep its sum and shrink
+        # the inverse's rounding along P's other left eigenvectors
+        pi = z.sum(axis=0) @ p @ p if left is None else left * right / float(left @ right)
+        left = pi / right
+        if 0.0 < lam < math.inf and 0.0 < left.min() <= left.max() < math.inf:  # so right > 0
+            return PerronData(lam, right, left, pi, p, z)
+        repeated = (np.abs(vals - lam) <= 4.0 * np.finfo(float).eps * lam).sum() >= 2
+        if polished or not (repeated or right.min() > 0.0):
             raise NonConvergence("Perron data lost finiteness or positivity")
-        # a dominant eigenvalue repeated in double precision (a nearly
-        # reducible matrix) can come back with a vector such as (1, 0);
-        # polish that case only.  A vector that lost entries to underflow,
-        # far out in u, stays a refusal: solve_u halves its step on it
+        # power iteration, free of differences, polishes a vector like (1, 0)
+        # left by a root repeated in double precision, and weights lost below
+        # 1^T Z's rounding; a right vector underflowed far out in u is refused
         (lam, right), (_, left) = _collatz_wielandt(m), _collatz_wielandt(m.T)
 
 
 def perron(m) -> PerronData:
-    """Dominant eigen-triple via dense eigensolves of M and its transpose,
-    polished by power iteration when a dominant eigenvalue repeated in
-    double precision leaves an eigenvector that is not positive.
+    """Dominant eigen-triple and chain from one dense eigensolve of M and one
+    inverse: with r the right vector, P = M r_j / (lambda r_i) is stochastic,
+    so its stationary vector solves pi^T (I - P + 1 1^T) = 1^T (Kemeny & Snell,
+    Finite Markov Chains): pi^T = 1^T Z for Z = (I - P + 1 1^T)^-1, and left =
+    pi / r; power iteration polishes the vectors where rounding loses a weight.
 
     Requires a nonnegative matrix whose support pattern is primitive
     (strongly connected and aperiodic); otherwise the Perron root need not
@@ -160,33 +159,33 @@ def shift_pressure(g: DirectedGraph, w: WeightSystem, u, s: float) -> float:
 
 @dataclass(frozen=True)
 class PressureJet:
-    """Flow pressure at u with its gradient and Hessian, and the eigen-chain
-    (stationary vector, transition matrix) of the equilibrium state, from
-    one Perron pair at s: log_lambda = log lambda(M(u, s)), mean_roof = E_mu[r],
-    centred = (c, -r) - E_mu[(c, -r)] on the edges.  Its arrays are read-only;
+    """Flow pressure at u with its gradient, Hessian and chain (see ``perron``),
+    from one Perron pair at x = (u, s): log_lambda = log lambda(M(x)), mean =
+    E_mu[A], mean_roof = E_mu[r], centred = A - mean.  Its arrays are read-only;
     the covariance and the Hessian, exactly symmetric, are taken on first read."""
 
     pressure: float
     gradient: np.ndarray
     stationary: np.ndarray
     transition: np.ndarray
+    fundamental: np.ndarray
     log_lambda: float
+    mean: np.ndarray
     mean_roof: float
     centred: np.ndarray
 
     @cached_property
     def covariance(self) -> np.ndarray:
-        """Sigma = Hess_(u, s) log lambda(M(u, s)), the asymptotic covariance of
-        f = centred: E_mu[f f^T] + E_mu[f (Z h)(head)^T] + transpose, Z = (I - P +
-        1 pi)^-1, h(a) = sum_b P[a,b] f(a,b) (Parry & Pollicott, Asterisque 187-188)."""
+        """Sigma = Hess_x log lambda(M(x)), the asymptotic covariance of f =
+        centred: cross + cross^T, cross = E_mu[f (f / 2 + (Z h)(head))^T] with
+        h(a) = sum_b P[a,b] f(a,b) (Parry & Pollicott, Asterisque 187-188).  Any
+        fundamental matrix Z gives it: pi^T h = E_mu[f] = 0, so Z h solves (I -
+        P) g = h up to a constant vector, which E_mu[f] = 0 multiplies by 0."""
         pi, p, f = self.stationary, self.transition, self.centred
         with np.errstate(all="ignore"):
-            mu = pi[:, None] * p
-            zh = np.linalg.solve(np.eye(len(pi)) - p + pi[None, :],
-                                 np.einsum("ab,abd->ad", p, f))
-            cross = np.einsum("ab,abi,bj->ij", mu, f, zh)
-            cov = np.einsum("ab,abi,abj->ij", mu, f, f) + cross + cross.T
-        cov = 0.5 * (cov + cov.T)
+            zh = self.fundamental @ (p[:, :, None] * f).sum(axis=1)
+            cross = np.einsum("abi,abj->ij", (pi[:, None] * p)[:, :, None] * f, 0.5 * f + zh)
+            cov = cross + cross.T
         cov.flags.writeable = False
         return cov
 
@@ -200,33 +199,30 @@ class PressureJet:
         return hess
 
 
-def pair_jet(r: np.ndarray, c: np.ndarray, u: np.ndarray, s: float) -> PressureJet:
-    """The jet from one Perron pair of M(u, s), at any s, with the corrected
-    pressure s + log_lambda / E_mu[r], off the root by O(log_lambda^2).
-
-    With mu the edge measure of the eigen-chain, the gradient is E_mu[c] /
-    E_mu[r]; the covariance and the Hessian are computed from the chain when
-    first read (see ``PressureJet``).  An edge entry of M that under/overflows,
-    or an eigen-chain that is not finite and positive, raises NonConvergence.
-    """
+def pair_jet(a: np.ndarray, x: np.ndarray) -> PressureJet:
+    """The jet from one Perron pair of M(x), A as ``edge_stack`` lays it out, at
+    any s, with the corrected pressure s + log_lambda / E_mu[r], off the root by
+    O(log_lambda^2).  E_mu[A] is the gradient of log lambda in x, E_mu[c] /
+    E_mu[r] the pressure gradient.  An edge entry of M that under/overflows, or
+    a chain that is not finite and positive, raises NonConvergence."""
     with np.errstate(all="ignore"):  # lost finiteness or positivity refuses
-        m = _transfer(r, c @ u, s)
-        on_edges = m[r > 0]
-        if not (np.isfinite(on_edges).all() and (on_edges > 0.0).all()):
-            raise NonConvergence(f"transfer matrix entries under/overflow at s = {s:.6g}")
+        edge = a[:, :, -1] < 0.0
+        m = np.where(edge, np.exp(a @ x), 0.0)
+        on_edges = m[edge]
+        if not 0.0 < on_edges.min() <= on_edges.max() < math.inf:
+            raise NonConvergence(f"transfer matrix entries under/overflow at s = {x[-1]:.6g}")
         pd = _perron_data(m)
-        p = m * pd.right[None, :] / (pd.eigenvalue * pd.right[:, None])
-        pi = pd.left * pd.right  # l . r = 1 by normalization
-        if not (np.isfinite(p).all() and (p[r > 0] > 0.0).all() and (pi > 0.0).all()):
+        pi, p, z = pd.stationary, pd.transition, pd.fundamental
+        if not (p[edge].min() > 0.0 and p.max() < math.inf):  # pi > 0, as left and right are
             raise NonConvergence("eigen-chain lost finiteness or positivity")
-        mu = pi[:, None] * p
-        mean_roof = float((mu * r).sum())
-        grad = np.einsum("ab,abd->d", mu, c) / mean_roof
-        f = np.concatenate([c, -r[:, :, None]], axis=2) - np.append(grad, -1.0) * mean_roof
-    for a in (grad, pi, p, f):
-        a.flags.writeable = False
+        mean = np.einsum("ab,abd->d", pi[:, None] * p, a)
+        f = a - mean
+    mean_roof = -float(mean[-1])
+    grad = mean[:-1] / mean_roof
+    for arr in (grad, pi, p, z, mean, f):
+        arr.flags.writeable = False
     log_lam = math.log(pd.eigenvalue)
-    return PressureJet(s + log_lam / mean_roof, grad, pi, p, log_lam, mean_roof, f)
+    return PressureJet(float(x[-1]) + log_lam / mean_roof, grad, pi, p, z, log_lam, mean, mean_roof, f)
 
 
 def pressure_jet(r: np.ndarray, c: np.ndarray, u) -> PressureJet:
@@ -250,18 +246,18 @@ def _root(r_shape, r, c_shape, c, u) -> PressureJet:
     # Row-sum bounds give the bracket in closed form: at lo every row has
     # a term >= 1, so lambda >= 1; at hi every term is <= 1/k, so
     # lambda <= 1.
-    cu, roof = c @ u, np.where(edge, r, 1.0)
+    a, cu, roof = edge_stack(r, c), c @ u, np.where(edge, r, 1.0)
     lo = float(np.where(edge, cu / roof, -np.inf).max(axis=1).min())
     hi = float(np.where(edge, (cu + math.log(len(r))) / roof, -np.inf).max())
     s = 0.5 * (lo + hi)
     for _ in range(200):
-        jet = pair_jet(r, c, u, s)
+        jet = pair_jet(a, np.append(u, s))
         lo, hi = (s, hi) if jet.log_lambda > 0.0 else (lo, s)
         if abs(jet.log_lambda) <= 1e-14 * max(1.0, jet.mean_roof):
             return replace(jet, pressure=s)
         s_new = jet.pressure if lo < jet.pressure < hi else 0.5 * (lo + hi)
         if abs(s_new - s) <= 1e-14 * max(1.0, abs(s)):
-            return replace(pair_jet(r, c, u, s_new), pressure=s_new)
+            return replace(pair_jet(a, np.append(u, s_new)), pressure=s_new)
         s = s_new
     raise NonConvergence("pressure root iteration did not converge")
 
@@ -272,11 +268,8 @@ def flow_pressure(g: DirectedGraph, w: WeightSystem, u) -> float:
 
 
 def equilibrium_measure(g: DirectedGraph, w: WeightSystem, u) -> MarkovMeasure:
-    """Markov measure realizing the equilibrium state at u.
-
-    Built at s* = flow_pressure(u) from the eigendata: P[i,j] =
-    M[i,j] r[j] / (lambda r[i]), pi[i] = l[i] r[i] / (l . r).
-    """
+    """Markov measure realizing the equilibrium state at u: the chain of
+    the Perron data (see ``perron``) at s* = flow_pressure(u)."""
     jet = pressure_jet(*edge_arrays(g, w), u)
     pi, p = jet.stationary.copy(), jet.transition.copy()
     edge_measure = {

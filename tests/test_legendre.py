@@ -200,6 +200,18 @@ class TestSolveU:
             solve_u(g, w, rho)
         assert len(pairs) <= calls - 30
 
+    def test_halving_stops_once_the_predicted_fall_is_rounding(self, monkeypatch, bench3):
+        # rho 1e-9 off grad P(0) and a stand-in pair_jet that hands back the
+        # start jet, so that no trial falls: the halving runs while t |F| is
+        # at least a rounding unit of F, about 22 trials, not down to 1e-12
+        g, w = bench3.graph, bench3.weights
+        start = thermo.pressure_jet(*thermo.edge_arrays(g, w), [0.0, 0.0])
+        pairs = []
+        monkeypatch.setattr(legendre, "pair_jet", lambda *a: pairs.append(1) or start)
+        with pytest.raises(OutsideCone, match="line search stalled"):
+            solve_u(g, w, start.gradient + 1e-9)
+        assert 15 <= len(pairs) <= 30
+
     def test_perron_pair_budget(self, monkeypatch, bench3):
         # a trial point of the joint (u, s) Newton costs one Perron pair:
         # 5.0 pairs a solve over these directions, 12.8 with a line search
@@ -215,6 +227,20 @@ class TestSolveU:
         for rho in rhos:
             solve_u(g, w, rho)
         assert len(pairs) / len(rhos) < 6.5
+
+    def test_one_eigensolve_per_perron_pair(self, monkeypatch, bench3):
+        # the stationary vector and the fundamental matrix come from one
+        # inverse after the eigensolve of M: no eigensolve of M^T, none
+        # for the covariance, in the root solves at 0 and in the Newton
+        g, w = bench3.graph, bench3.weights
+        rho = pressure_gradient(g, w, [0.3, -0.2])
+        pairs, eigs = [], []
+        perron_data, eig = thermo._perron_data, np.linalg.eig
+        monkeypatch.setattr(thermo, "_perron_data", lambda m: pairs.append(1) or perron_data(m))
+        monkeypatch.setattr(np.linalg, "eig", lambda m: eigs.append(1) or eig(m))
+        thermo._root.cache_clear()
+        solve_u(g, w, rho)
+        assert len(pairs) >= 5 and len(eigs) == len(pairs)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4),

@@ -158,6 +158,72 @@ class TestPerron:
             )
 
 
+def _dense_left(m):
+    """The left Perron vector from a dense eigensolve of M^T."""
+    vals, vecs = np.linalg.eig(m.T)
+    return np.abs(vecs[:, np.argmax(vals.real)])
+
+
+def _chain_cases():
+    """Positive matrices with k = 2..6 and transfer matrices of random
+    models at random (u, s): (M, edge arrays or None, x)."""
+    rng = np.random.default_rng(79)
+    cases = [(rng.uniform(0.05, 3.0, size=(k, k)), None, None) for k in range(2, 7) for _ in range(4)]
+    for _ in range(20):
+        d = int(rng.integers(1, 4))
+        g = random_strong_graph(rng, int(rng.integers(2, 7)), ensure_aperiodic=True)
+        w = random_weights(rng, g, d)
+        u, s = rng.uniform(-1.5, 1.5, size=d), float(rng.uniform(-1.0, 2.0))
+        cases.append((transfer_matrix(g, w, u, s), thermo.edge_arrays(g, w), np.append(u, s)))
+    return cases
+
+
+class TestPerronChain:
+    """One eigensolve of M and one inverse Z = (I - P + 1 1^T)^-1 give the
+    stationary vector pi^T = 1^T Z and the covariance."""
+
+    def test_stationary_vector_matches_the_dense_left_vector(self):
+        for m, _, _ in _chain_cases():
+            pd = perron(m)
+            left = _dense_left(m)
+            want = left * pd.right / float(left @ pd.right)
+            assert np.abs(pd.stationary - want).max() <= 1e-12 * want.max()
+
+    def test_covariance_matches_the_bordered_solve(self):
+        # Sigma = E[f f^T] + cross + cross^T with Z h solved against
+        # I - P + 1 pi^T, as the covariance was computed before
+        for _, arrays, x in _chain_cases():
+            if arrays is None:
+                continue
+            jet = thermo.pair_jet(thermo.edge_stack(*arrays), x)
+            pi, p, f = jet.stationary, jet.transition, jet.centred
+            mu = pi[:, None] * p
+            zh = np.linalg.solve(np.eye(len(pi)) - p + pi[None, :], np.einsum("ab,abd->ad", p, f))
+            cross = np.einsum("ab,abi,bj->ij", mu, f, zh)
+            want = np.einsum("ab,abi,abj->ij", mu, f, f) + cross + cross.T
+            cov = jet.covariance
+            assert np.abs(cov - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            assert np.array_equal(cov, cov.T)
+            assert not (jet.fundamental.flags.writeable or jet.mean.flags.writeable)
+
+    def test_flow_pressure_matches_a_dense_eigen_bisection(self):
+        def log_lambda(g, w, u, s):
+            return math.log(max(np.linalg.eigvals(transfer_matrix(g, w, u, s)).real))
+
+        rng = np.random.default_rng(83)
+        for _ in range(12):
+            d = int(rng.integers(1, 3))
+            g = random_strong_graph(rng, int(rng.integers(2, 6)), ensure_aperiodic=True)
+            w = random_weights(rng, g, d)
+            u = rng.uniform(-1.5, 1.5, size=d)
+            lo, hi = -50.0, 50.0
+            assert log_lambda(g, w, u, lo) > 0.0 > log_lambda(g, w, u, hi)
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if log_lambda(g, w, u, mid) > 0.0 else (lo, mid)
+            assert flow_pressure(g, w, u) == pytest.approx(0.5 * (lo + hi), abs=1e-10)
+
+
 class TestShiftPressure:
     def test_full_shift(self):
         assert shift_pressure(FULL2, into2(), [0.0], 0.0) == pytest.approx(
