@@ -599,13 +599,14 @@ class FiniteQuotient:
             except TypeError:
                 return -1
         try:
-            try:
-                mult = np.array([[index.get(table[a, b], -1) for b in elems] for a in elems])
-            except TypeError:   # an unhashable product: each by find
-                mult = np.array([[find(table[a, b]) for b in elems] for a in elems])
+            mult = np.array([[index.get(table[a, b], -1) for b in elems] for a in elems])
+            outside = np.argwhere(mult < 0)[:1]   # the first product outside elems, if any
         except KeyError as exc:
             raise InvalidArgument(f"multiplication table has no entry {exc}") from None
-        for a, b in np.argwhere(mult < 0)[:1]:   # the first product outside elems, if any
+        except TypeError:   # an unhashable product: the pairs up to it, read again
+            outside = [next((i, j) for i, a in enumerate(elems) for j, b in enumerate(elems)
+                            if find(table[a, b]) < 0)]
+        for a, b in outside:
             raise InvalidArgument(f"table entry {(elems[a], elems[b])!r} is outside the elements")
         for e, v in edge_labels.items():
             if find(v) < 0:

@@ -163,13 +163,13 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
     t >= 1e-12 and the fall Newton predicts, t |F|, is at least one rounding
     unit of F, eps max(1, |rho|): a smaller fall is rounding, not progress.
     Stops at |log lambda| <= 1e-13, |grad P - rho| <= _TOL and a u-step
-    <= 1e-10 (or a residual at float noise), and takes that last step.  The
-    entropy is h_mu / E_mu[r] (Abramov) plus <u, grad P - rho>.  Raises
-    OutsideCone when ``_certified_outside`` holds along u or rho - grad P
-    after a damped step, the halving stalls, |u| passes _DIVERGE_NORM or a
-    Newton step is not finite; DegenerateModel when the pressure Hessian is
-    singular at 0.
-    """
+    <= 1e-10, or at |grad P - rho| <= 16 units a u-step <= 16 units / (10
+    _TOL), as far as that noise moves u at the least Hessian accepted; takes
+    that last step.  The entropy is h_mu / E_mu[r] (Abramov) plus <u, grad
+    P - rho>.  Raises OutsideCone when ``_certified_outside`` holds along u
+    or rho - grad P after a damped step, the halving stalls, |u| passes
+    _DIVERGE_NORM or a Newton step is not finite; DegenerateModel when the
+    pressure Hessian is singular at 0."""
     rho = np.asarray(rho, dtype=float).reshape(-1)
     d = w.dimension
     require_dimension("rho", len(rho), d)
@@ -193,9 +193,9 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
                 step = np.full(d + 1, np.nan)
             if not np.isfinite(step).all():
                 raise OutsideCone("Newton step is not finite; direction outside the attainable set")
-            grad_res = float(np.abs(jet.gradient - rho).max())
-            if abs(jet.log_lambda) <= 1e-13 and grad_res <= _TOL and (
-                    float(np.abs(step[:d]).max()) <= 1e-10 or grad_res <= 16 * ulp):
+            grad_res, step_u = (float(np.abs(v).max()) for v in (jet.gradient - rho, step[:d]))
+            if abs(jet.log_lambda) <= 1e-13 and grad_res <= _TOL and (step_u <= 1e-10 or (
+                    grad_res <= 16 * ulp and step_u <= 16 * ulp / (10 * _TOL))):
                 break
             t = 1.0
             least = max(1e-12, ulp / norm)   # norm > 0: F = 0 meets the stop test
