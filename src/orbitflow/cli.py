@@ -16,22 +16,9 @@ import sys
 
 import numpy as np
 
-from . import checks
-from .counting import (
-    CountQuery,
-    FiniteQuotient,
-    chebotarev_distribution,
-    equidistribution_test,
-    exact_window_count,
-    margulis_total,
-    predict_count,
-    sweep,
-    target_class,
-)
+# every command but check reads a model; each imports the rest of what it runs
 from .errors import InvalidArgument, MissingEdge, OrbitflowError
-from .legendre import direction_hull, entropy_hessian, solve_u
 from .models import load_model, serialize_model
-from .thermo import edge_arrays, pressure_jet
 
 _MAX_SWEEP_T = 10_000  # T values one sweep may evaluate
 _NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
@@ -89,6 +76,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pressure(args) -> int:
+    from .thermo import edge_arrays, pressure_jet
     m = load_model(args.model)
     u = _parse_vec(args.u)
     jet = pressure_jet(*edge_arrays(m.graph, m.weights), u)
@@ -98,6 +86,7 @@ def cmd_pressure(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    from .legendre import entropy_hessian, solve_u
     m = load_model(args.model)
     rho = _parse_vec(args.rho)
     dd = solve_u(m.graph, m.weights, rho)
@@ -110,6 +99,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_hull(args) -> int:
+    from .legendre import direction_hull
     m = load_model(args.model)
     hull = direction_hull(m.graph, m.weights, args.n)
     rows = [["dim", str(hull.dim)]]
@@ -122,6 +112,7 @@ def cmd_hull(args) -> int:
 
 
 def _query_from(args, m) -> CountQuery:
+    from .counting import CountQuery
     return CountQuery(
         T=args.T,
         delta=args.delta,
@@ -132,6 +123,7 @@ def _query_from(args, m) -> CountQuery:
 
 
 def cmd_count(args) -> int:
+    from .counting import exact_window_count, target_class
     m = load_model(args.model)
     q = _query_from(args, m)
     exact = exact_window_count(m.graph, m.weights, q, budget_cap=args.budget)
@@ -144,6 +136,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .counting import predict_count, target_class
+    from .legendre import solve_u
     m = load_model(args.model)
     q = _query_from(args, m)
     dd = solve_u(m.graph, m.weights, q.rho)
@@ -157,6 +151,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .counting import sweep
     m = load_model(args.model)
     if not (args.step > 0 and math.isfinite(args.Tmin) and math.isfinite(args.Tmax)):
         raise InvalidArgument(
@@ -197,6 +192,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_margulis(args) -> int:
+    from .counting import margulis_total
     m = load_model(args.model)
     res = margulis_total(m.graph, m.weights, m.removed, args.T, budget_cap=args.budget)
     _emit(
@@ -207,6 +203,7 @@ def cmd_margulis(args) -> int:
 
 
 def cmd_chebotarev(args) -> int:
+    from .counting import FiniteQuotient, chebotarev_distribution
     m = load_model(args.model)
     if (args.mod is None) == (args.quotient is None):
         raise InvalidArgument("exactly one of --mod / --quotient is required")
@@ -226,6 +223,8 @@ def cmd_chebotarev(args) -> int:
 
 
 def cmd_equidist(args) -> int:
+    from .counting import equidistribution_test
+    from .legendre import solve_u
     m = load_model(args.model)
     q = _query_from(args, m)
     dd = solve_u(m.graph, m.weights, q.rho)
@@ -244,6 +243,7 @@ def cmd_equidist(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import checks
     return 0 if checks.run_all_checks() else 2
 
 

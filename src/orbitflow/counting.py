@@ -41,9 +41,13 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+# thermo and legendre are read through the package, which imports each on
+# first use, so a count loads neither
+import orbitflow
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -56,8 +60,6 @@ from .errors import (
 )
 from .graphs import (CycleScan, DirectedGraph, PrimeCycle, edge_table, require_period,
                      require_roofs, require_valid, require_values, scan_cycles)
-from .legendre import DirectionData, entropy_hessian, solve_u
-from .thermo import equilibrium_measure, flow_pressure, integrate_observable
 from .weights import WeightSystem, require_dimension, smith_decomposition
 
 
@@ -84,16 +86,14 @@ class CountQuery:
             raise DimensionMismatch("rho and alpha must have the same length")
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     exact: int
     predicted: float
     ratio: float
     target_class: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     T: float
     delta: float
     target_class: tuple[int, ...]
@@ -102,14 +102,12 @@ class SweepRow:
     ratio: float
 
 
-@dataclass(frozen=True)
-class MargulisCount:
+class MargulisCount(NamedTuple):
     exact: int
     reference: float
 
 
-@dataclass(frozen=True)
-class EquidistributionResult:
+class EquidistributionResult(NamedTuple):
     empirical: float
     expected: float
     n_orbits: int
@@ -255,7 +253,7 @@ def margulis_total(
     if not (math.isfinite(T) and T > 0):
         raise InvalidArgument(f"need finite T > 0, got T={T}")
     count = int(_rows(g, w, T, removed, budget_cap, total=True)[2].sum())
-    h = flow_pressure(g, w, np.zeros(w.dimension))
+    h = orbitflow.thermo.flow_pressure(g, w, np.zeros(w.dimension))
     try:
         reference = math.exp(h * T) / (h * T)
     except (OverflowError, ZeroDivisionError):
@@ -416,7 +414,7 @@ def predict_count(
     if tuple(round(x, 12) for x in dd.rho) != tuple(round(float(x), 12) for x in q.rho):
         raise InvalidArgument("q.rho does not match dd.rho")
     d = w.dimension
-    det = abs(float(np.linalg.det(entropy_hessian(dd))))
+    det = abs(float(np.linalg.det(orbitflow.legendre.entropy_hessian(dd))))
     p = dd.pressure_at_u
     u = np.asarray(dd.u, dtype=float)
     frac = q.T * np.asarray(q.rho, dtype=float) - floor.astype(float)
@@ -472,7 +470,7 @@ def sweep(
 ) -> list[SweepRow]:
     """Exact and predicted window counts for each T, one dual solve and
     one cycle table at the largest T."""
-    dd = solve_u(g, w, rho)
+    dd = orbitflow.legendre.solve_u(g, w, rho)
     queries = [CountQuery(T=float(T), delta=float(delta), rho=dd.rho, alpha=alpha, removed=removed)
                for T in T_list]
     return [SweepRow(q.T, q.delta, res.target_class, res.exact, res.predicted, res.ratio)
@@ -747,5 +745,6 @@ def equidistribution_test(
         empirical = float(np.cumsum(sums / lengths)[-1]) / len(lengths)
     if not math.isfinite(empirical):
         raise NonConvergence("the average of the observable overflows a float")
-    expected = integrate_observable(equilibrium_measure(g, w, dd.u), w, phi_vals)
+    thermo = orbitflow.thermo
+    expected = thermo.integrate_observable(thermo.equilibrium_measure(g, w, dd.u), w, phi_vals)
     return EquidistributionResult(empirical, expected, len(lengths))

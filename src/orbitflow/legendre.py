@@ -17,7 +17,7 @@ costs more CPU than most commands spend working.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ class Membership(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class DirectionHull:
+class DirectionHull(NamedTuple):
     """Cycle ratio points with their convex hull."""
 
     points: tuple[tuple[float, ...], ...]
@@ -46,8 +45,7 @@ class DirectionHull:
         return hull_contains(self.points, rho, tol)
 
 
-@dataclass(frozen=True)
-class DirectionData:
+class DirectionData(NamedTuple):
     """A direction with its dual parameter and entropy data."""
 
     rho: tuple[float, ...]
@@ -167,7 +165,8 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
     _TOL), as far as that noise moves u at the least Hessian accepted; takes
     that last step.  The entropy is h_mu / E_mu[r] (Abramov) plus <u, grad
     P - rho>.  Raises OutsideCone when ``_certified_outside`` holds along u
-    or rho - grad P after a damped step, the halving stalls, |u| passes
+    or rho - grad P after a damped step, the halving stalls (at an |F| of
+    <= 16 units, naming rho numerically on the boundary), |u| passes
     _DIVERGE_NORM or a Newton step is not finite; DegenerateModel when the
     pressure Hessian is singular at 0."""
     rho = np.asarray(rho, dtype=float).reshape(-1)
@@ -216,7 +215,10 @@ def solve_u(g: DirectedGraph, w: WeightSystem, rho) -> DirectionData:
                 raise OutsideCone("certified outside: every cycle ratio lies more than 1e-9 "
                                   "behind a line through rho")
             if t < least:
-                raise OutsideCone(f"line search stalled with |F| = {norm:.3g}")
+                raise OutsideCone(f"line search stalled with |F| = {norm:.3g}" + (
+                    "; that is float noise, so rho is numerically on the boundary of the "
+                    "attainable set"
+                    if norm <= 16 * ulp else ""))
             x, jet, f, norm = x_trial, trial, f_trial, norm_trial
             if float(x[:d] @ x[:d]) > _DIVERGE_NORM ** 2:
                 raise OutsideCone(f"dual parameter diverged (|u| > {_DIVERGE_NORM:g}); "

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from .errors import ModelSyntaxError, UnknownModel, ValidationError, OrbitflowError
 from .graphs import DirectedGraph, Edge, PrimeCycle, canonical_form, validate_graph
 from .weights import ChordAssignment, WeightSystem, weights_from_chords
-from .counting import FiniteQuotient
 
 _PAIR = re.compile(r"(\w+)\s*=\s*(\S+)")
 _HEADER = re.compile(r"\[(\w+)\]\s*(.*)$")
@@ -67,6 +66,7 @@ class ModelSpec:
     def quotient(self, name: str) -> FiniteQuotient:
         if name not in self.quotients:
             raise UnknownModel(f"model has no quotient named {name!r}")
+        from .counting import FiniteQuotient
         return FiniteQuotient.from_lattice(self.quotients[name])
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +27,7 @@ from .graphs import (DirectedGraph, Edge, edge_table, is_primitive_pattern, requ
                      require_valid, require_values)
 from .weights import WeightSystem, require_dimension
 
-@dataclass(frozen=True)
-class PerronData:
+class PerronData(NamedTuple):
     """Dominant eigen-triple of a primitive nonnegative matrix M and its chain:
     right has max-entry 1, left . right = 1, stationary = left * right,
     transition = M r_j / (eigenvalue r_i), fundamental = (I - transition + 1 1^T)^-1."""
@@ -40,8 +40,7 @@ class PerronData:
     fundamental: np.ndarray
 
 
-@dataclass(frozen=True)
-class MarkovMeasure:
+class MarkovMeasure(NamedTuple):
     """Stationary Markov chain supported on the edges.
 
     stationary[i-1] is the vertex weight of vertex i, transition[i-1, j-1]

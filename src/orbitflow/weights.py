@@ -18,6 +18,7 @@ column operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,14 +107,12 @@ class ChordAssignment:
                            _edge_vectors(self.chord_values, self.dimension, "chord value"))
 
 
-@dataclass(frozen=True)
-class BirkhoffData:
+class BirkhoffData(NamedTuple):
     length: float
     class_vector: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GenerationCheck:
+class GenerationCheck(NamedTuple):
     generates: bool
     lattice_invariants: tuple[int, ...]
     rank: int

@@ -200,6 +200,18 @@ class TestSolveU:
             solve_u(g, w, rho)
         assert len(pairs) <= calls - 30
 
+    def test_stall_at_float_noise_names_the_boundary(self):
+        # seed 198's model of the test above: the halving stalls at |F| = 2e-15,
+        # within the 16 units (6.2e-15) of the noise stop, so rho is on the boundary
+        rng = np.random.default_rng(198)
+        k, d = rng.integers(2, 5), rng.integers(1, 3)
+        g = random_strong_graph(rng, k, ensure_aperiodic=True)
+        w = random_weights(rng, g, d)
+        rho = pressure_gradient(g, w, rng.uniform(-4, 4, d))
+        with pytest.raises(OutsideCone, match=r"^line search stalled with \|F\| = 2e-15; that is "
+                           "float noise, so rho is numerically on the boundary of the attainable set$"):
+            solve_u(g, w, rho)
+
     def test_halving_stops_once_the_predicted_fall_is_rounding(self, monkeypatch, bench3):
         # rho 1e-9 off grad P(0) and a stand-in pair_jet that hands back the
         # start jet, so that no trial falls: the halving runs while t |F| is
