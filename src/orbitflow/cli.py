@@ -212,13 +212,9 @@ def cmd_chebotarev(args) -> int:
     else:
         quot = m.quotient(args.quotient)
     res = chebotarev_distribution(m.graph, m.weights, m.removed, quot, args.n)
-    rows = []
-    for key in sorted(res.counts, key=repr):
-        label = _fmt_vec(key) if isinstance(key, tuple) and key and isinstance(key[0], int) else repr(key)
-        rows.append(
-            [label, str(res.counts[key]), _fmt(res.frequencies[key]), _fmt(res.reference[key])]
-        )
-    _emit("class,count,frequency,reference", rows)
+    _emit("class,count,frequency,reference",
+          [[_fmt_vec(key), str(res.counts[key]), _fmt(res.frequencies[key]), _fmt(res.reference[key])]
+           for key in sorted(res.counts, key=repr)])
     return 0
 
 

@@ -40,7 +40,7 @@ import itertools
 import math
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -182,12 +182,6 @@ def _edge_index(g: DirectedGraph, words, period) -> np.ndarray:
     heads = np.roll(words, -1, axis=1)
     heads[np.arange(len(words)), period - 1] = words[:, 0]
     return (g.vertex_count + 1) * words + heads
-
-
-def _edge_sums(g: DirectedGraph, words, period, phi: dict) -> np.ndarray:
-    """Sum of phi around each cycle, accumulated in word order with the
-    closing edge last, as ``birkhoff`` sums; the padding adds exact 0s."""
-    return np.cumsum(edge_table(g, phi).ravel().take(_edge_index(g, words, period)), axis=1)[:, -1]
 
 
 def _in_window(lengths, classes, T, delta, target) -> np.ndarray:
@@ -372,28 +366,23 @@ def _walk_primes(g: DirectedGraph, w: WeightSystem, n_max: int, quot=None, remov
     return keys, prime
 
 
-def _unit_walk_primes(g: DirectedGraph, w: WeightSystem, n_max: int):
-    """``_walk_primes`` on the class box, for the trace oracle; roof must be 1."""
+def trace_prime_counts_table(g: DirectedGraph, w: WeightSystem, n_max: int):
+    """prime[m][beta] for all m <= n_max, by walk traces on the class box and
+    inversion; each row holds its nonzero classes.  Roof must be 1."""
     if any(r != 1.0 for r in w.roof.values()):
         raise RoofNotUnit("this oracle requires roof identically 1")
-    return _walk_primes(g, w, n_max)
-
-
-def trace_prime_counts_table(g: DirectedGraph, w: WeightSystem, n_max: int):
-    """prime[m][beta] for all m <= n_max, by walk traces and inversion; roof must be 1."""
-    keys, prime = _unit_walk_primes(g, w, n_max)
+    keys, prime = _walk_primes(g, w, n_max)
     keys = np.fromiter(keys, dtype=object, count=len(keys))
     return {m: dict(zip(keys[nz].tolist(), row[nz].tolist()))
             for m, row in enumerate(prime, 1) for nz in [row.nonzero()[0]]}
 
 
 def trace_prime_count(g: DirectedGraph, w: WeightSystem, n: int, beta) -> int:
-    """Prime cycles of period n with class beta: row n of the trace table
-    read at beta, 0 for a class outside the box of n-step walks."""
+    """Prime cycles of period n with class beta: row n of
+    ``trace_prime_counts_table`` read at beta, 0 for a class it does not hold."""
     beta = tuple(int(x) for x in beta)
     require_dimension("class vector", len(beta), w.dimension)
-    keys, prime = _unit_walk_primes(g, w, n)
-    return int(prime[n - 1][keys.index(beta)]) if beta in keys else 0
+    return trace_prime_counts_table(g, w, n)[n].get(beta, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -655,12 +644,11 @@ class FiniteQuotient:
         return self._class_keys[self._class_of[x]]
 
 
-@dataclass(frozen=True)
-class ChebotarevResult:
-    counts: dict = field(compare=False)
-    frequencies: dict = field(compare=False)
-    reference: dict = field(compare=False)
-    total: int = 0
+class ChebotarevResult(NamedTuple):
+    counts: dict
+    frequencies: dict
+    reference: dict
+    total: int
 
 
 def chebotarev_distribution(
@@ -702,17 +690,14 @@ _selection: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _window_selection(g: DirectedGraph, scan: CycleScan, T, delta, target):
     """The cycles of ``scan`` with length in (T - delta, T] and class
-    target, in lexicographic word order: their ``_edge_index`` rows and
-    their lengths, kept for the next call with the same scan and window."""
+    target: their ``_edge_index`` rows and their lengths, kept for the next
+    call with the same scan and window."""
     key, memo = (T, delta, target), _selection.get(scan)
     if memo is not None and memo[0] == key:
         return memo[1]
     sel = np.flatnonzero(_in_window(scan.length, scan.classes, T, delta, target))
     if len(sel) == 0:
         raise EmptySelection("no orbit matches the window and class constraints")
-    # lexicographic word order, not the scan's (period, word) order, which
-    # moves the last digit of the README's equidist full2 result
-    sel = sel[np.lexsort(scan.words[sel].T[::-1])]
     picked = _edge_index(g, scan.words[sel], scan.period[sel]), scan.length[sel]
     _selection.clear()
     _selection[scan] = key, picked
@@ -732,17 +717,22 @@ def equidistribution_test(
     selection, against the equilibrium-state expectation at dd.u, whose
     root ``pressure_jet`` keeps for the next call at the same direction.
     The selection is made once per (scan, window, class) and shared by every
-    phi, whose sums add the same terms in the same order as cycle by cycle:
-    word order, closing edge last, then left to right in lexicographic word
-    order.  An average that overflows a float raises NonConvergence."""
+    phi.  Each orbit's phi is summed in word order, closing edge last, as
+    ``birkhoff`` sums its length; the average is the exact sum of the
+    per-orbit ratios (``math.fsum``), rounded once and divided by the orbit
+    count, so no listing order moves it.  An average that overflows a float
+    raises NonConvergence."""
     require_values(g.edge_set, phi, observable=True)
     target = target_class(w, q)
     scan = _scan(g, w, q.T, q.removed, budget_cap)
     index, lengths = _window_selection(g, scan, q.T, q.delta, target)
     phi_vals = {e: float(v) for e, v in phi.items()}
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = np.cumsum(edge_table(g, phi_vals).ravel().take(index), axis=1)[:, -1]
-        empirical = float(np.cumsum(sums / lengths)[-1]) / len(lengths)
+        ratios = np.cumsum(edge_table(g, phi_vals).ravel().take(index), axis=1)[:, -1] / lengths
+    try:
+        empirical = math.fsum(ratios.tolist()) / len(lengths)
+    except (OverflowError, ValueError):   # an exact sum past the float range, or inf - inf
+        empirical = math.nan
     if not math.isfinite(empirical):
         raise NonConvergence("the average of the observable overflows a float")
     thermo = orbitflow.thermo

@@ -22,7 +22,7 @@ from orbitflow import (
     scan_cycles,
     validate_graph,
 )
-from orbitflow.counting import _edge_sums
+from orbitflow.counting import _edge_index
 
 from conftest import brute_force_prime_cycles, random_strong_graph, random_weights
 
@@ -261,7 +261,9 @@ class TestEnumerate:
         phi = {e: 0.1 * i + 0.3 for i, e in enumerate(sorted(g.edges))}
         scan = scan_cycles(g, w.roof, w.classes, 17, max_len=12.0)
         assert len(scan.period) > 100
-        values = _edge_sums(g, scan.words, scan.period, phi)
+        table = np.array([[phi.get((a, b), 0.0) for b in range(g.vertex_count + 1)]
+                          for a in range(g.vertex_count + 1)])
+        values = np.cumsum(table.ravel()[_edge_index(g, scan.words, scan.period)], axis=1)[:, -1]
         for word, t, length, cls, value in zip(
             scan.words.tolist(), scan.period.tolist(), scan.length.tolist(),
             scan.classes.tolist(), values.tolist(),

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import orbitflow
-from orbitflow import (BirkhoffData, CountResult, DirectionData, DirectionHull,
+from orbitflow import (BirkhoffData, ChebotarevResult, CountResult, DirectionData, DirectionHull,
                        EquidistributionResult, GenerationCheck, MargulisCount, MarkovMeasure,
                        PerronData, SweepRow)
 
@@ -104,6 +104,8 @@ RECORDS = [
     (MarkovMeasure, ("stationary", "transition", "edge_measure"), ((1.0,), (1.0,), 1.0)),
     (BirkhoffData, ("length", "class_vector"), (3.0, (1, -1))),
     (GenerationCheck, ("generates", "lattice_invariants", "rank"), (True, (1, 2), 2)),
+    (ChebotarevResult, ("counts", "frequencies", "reference", "total"),
+     ((((0,), 3), ((1,), 1)), (((0,), 0.75), ((1,), 0.25)), (((0,), 0.5), ((1,), 0.5)), 4)),
 ]
 
 
@@ -119,6 +121,10 @@ def test_record_is_a_named_tuple(cls, fields, values):
     assert twin == rec and hash(twin) == hash(rec)
     with pytest.raises(AttributeError):
         setattr(rec, fields[0], values[0])
+
+
+def test_chebotarev_results_with_different_counts_differ():
+    assert ChebotarevResult({"a": 1}, {}, {}, 5) != ChebotarevResult({"a": 2}, {}, {}, 5)
 
 
 def test_records_from_the_library_unpack(bench3):

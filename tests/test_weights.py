@@ -363,6 +363,14 @@ class TestLatticeHeuristic:
         for n in (3, 4):
             assert lattice_length_heuristic(g, w, n, (0.5, 1.0, 2.0, 3.0)) == [0.5, 1.0]
 
+    def test_no_cycle_probed_flags_nothing(self):
+        # the loopless 2-cycle 1 -> 2 -> 1 of length 1.5 has no cycle of period 1
+        g = DirectedGraph(2, ((1, 2), (2, 1)))
+        w = WeightSystem(b=1, meridians=0, roof={(1, 2): 1.0, (2, 1): 0.5},
+                         classes={e: (0,) for e in g.edges})
+        assert lattice_length_heuristic(g, w, 1, [0.5, 1.0]) == []
+        assert lattice_length_heuristic(g, w, 2, [0.5, 1.0]) == [0.5]
+
 
 class TestCohomologyInvariance:
     def test_coboundary_leaves_lengths_unchanged(self):
