@@ -2,9 +2,11 @@
 
 Every command takes a model source (builtin name or file path) and emits
 deterministic CSV on stdout: header row, ``.`` decimal separator, reals
-in shortest round-trip form, vectors semicolon-joined.  Exit codes:
-0 success, 2 validation failure, 3 numerical non-convergence or refused
-computation.
+in shortest round-trip form, vectors semicolon-joined.  ``main`` loads
+the model and maps errors to exit codes: 0 success, 2 validation failure,
+3 numerical non-convergence, refused computation or exhausted memory.
+Each command is a function of the arguments and the model that emits
+rows of values.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ _NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
+    if isinstance(x, (tuple, np.ndarray)):
+        return ";".join(_fmt(v) for v in x)
     return repr(float(x))
-
-
-def _fmt_vec(vec) -> str:
-    return ";".join(_fmt(x) for x in vec)
 
 
 def _parse_vec(text: str, kind=float) -> tuple:
@@ -62,53 +64,37 @@ def _parse_obs(text: str) -> dict:
     return out
 
 
-def _emit(header: str, rows) -> None:
+def _emit(header: str, *rows) -> None:
     print(header)
     for row in rows:
-        print(",".join(row))
+        print(",".join(map(_fmt, row)))
 
 
-def cmd_validate(args) -> int:
-    model = load_model(args.model)
+def cmd_validate(args, model) -> None:
     print(f"ok: {model.name} ({model.graph.vertex_count} vertices, "
           f"{len(model.graph.edges)} edges, d={model.weights.dimension})")
-    return 0
 
 
-def cmd_pressure(args) -> int:
+def cmd_pressure(args, m) -> None:
     from .thermo import edge_arrays, pressure_jet
-    m = load_model(args.model)
     u = _parse_vec(args.u)
     jet = pressure_jet(*edge_arrays(m.graph, m.weights), u)
-    _emit("u,pressure,gradient",
-          [[_fmt_vec(u), _fmt(jet.pressure), _fmt_vec(jet.gradient)]])
-    return 0
+    _emit("u,pressure,gradient", (u, jet.pressure, jet.gradient))
 
 
-def cmd_entropy(args) -> int:
+def cmd_entropy(args, m) -> None:
     from .legendre import entropy_hessian, solve_u
-    m = load_model(args.model)
     rho = _parse_vec(args.rho)
     dd = solve_u(m.graph, m.weights, rho)
     det = float(np.linalg.det(entropy_hessian(dd)))
-    _emit(
-        "rho,u,entropy,det_hessian",
-        [[_fmt_vec(rho), _fmt_vec(dd.u), _fmt(dd.entropy), _fmt(det)]],
-    )
-    return 0
+    _emit("rho,u,entropy,det_hessian", (rho, dd.u, dd.entropy, det))
 
 
-def cmd_hull(args) -> int:
+def cmd_hull(args, m) -> None:
     from .legendre import direction_hull
-    m = load_model(args.model)
     hull = direction_hull(m.graph, m.weights, args.n)
-    rows = [["dim", str(hull.dim)]]
-    for p in sorted(hull.points):
-        rows.append(["point", _fmt_vec(p)])
-    for v in sorted(hull.vertices):
-        rows.append(["vertex", _fmt_vec(v)])
-    _emit("role,coords", rows)
-    return 0
+    _emit("role,coords", ("dim", hull.dim), *(("point", p) for p in sorted(hull.points)),
+          *(("vertex", v) for v in sorted(hull.vertices)))
 
 
 def _query_from(args, m) -> CountQuery:
@@ -122,37 +108,24 @@ def _query_from(args, m) -> CountQuery:
     )
 
 
-def cmd_count(args) -> int:
+def cmd_count(args, m) -> None:
     from .counting import exact_window_count, target_class
-    m = load_model(args.model)
     q = _query_from(args, m)
     exact = exact_window_count(m.graph, m.weights, q, budget_cap=args.budget)
-    target = target_class(m.weights, q)
-    _emit(
-        "T,delta,target_class,exact",
-        [[_fmt(q.T), _fmt(q.delta), _fmt_vec(target), str(exact)]],
-    )
-    return 0
+    _emit("T,delta,target_class,exact", (q.T, q.delta, target_class(m.weights, q), exact))
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args, m) -> None:
     from .counting import predict_count, target_class
     from .legendre import solve_u
-    m = load_model(args.model)
     q = _query_from(args, m)
     dd = solve_u(m.graph, m.weights, q.rho)
     predicted = predict_count(m.graph, m.weights, dd, q)
-    target = target_class(m.weights, q)
-    _emit(
-        "T,delta,target_class,predicted",
-        [[_fmt(q.T), _fmt(q.delta), _fmt_vec(target), _fmt(predicted)]],
-    )
-    return 0
+    _emit("T,delta,target_class,predicted", (q.T, q.delta, target_class(m.weights, q), predicted))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, m) -> None:
     from .counting import sweep
-    m = load_model(args.model)
     if not (args.step > 0 and math.isfinite(args.Tmin) and math.isfinite(args.Tmax)):
         raise InvalidArgument(
             f"need step > 0 and finite Tmin, Tmax, got step={args.step}, "
@@ -174,37 +147,17 @@ def cmd_sweep(args) -> int:
         removed=m.removed,
         budget_cap=args.budget,
     )
-    _emit(
-        "T,delta,target_class,exact,predicted,ratio",
-        [
-            [
-                _fmt(r.T),
-                _fmt(r.delta),
-                _fmt_vec(r.target_class),
-                str(r.exact),
-                _fmt(r.predicted),
-                _fmt(r.ratio),
-            ]
-            for r in rows
-        ],
-    )
-    return 0
+    _emit("T,delta,target_class,exact,predicted,ratio", *rows)
 
 
-def cmd_margulis(args) -> int:
+def cmd_margulis(args, m) -> None:
     from .counting import margulis_total
-    m = load_model(args.model)
     res = margulis_total(m.graph, m.weights, m.removed, args.T, budget_cap=args.budget)
-    _emit(
-        "T,exact,reference,ratio",
-        [[_fmt(args.T), str(res.exact), _fmt(res.reference), _fmt(res.exact / res.reference)]],
-    )
-    return 0
+    _emit("T,exact,reference,ratio", (args.T, res.exact, res.reference, res.exact / res.reference))
 
 
-def cmd_chebotarev(args) -> int:
+def cmd_chebotarev(args, m) -> None:
     from .counting import FiniteQuotient, chebotarev_distribution
-    m = load_model(args.model)
     if (args.mod is None) == (args.quotient is None):
         raise InvalidArgument("exactly one of --mod / --quotient is required")
     if args.mod is not None:
@@ -213,40 +166,32 @@ def cmd_chebotarev(args) -> int:
         quot = m.quotient(args.quotient)
     res = chebotarev_distribution(m.graph, m.weights, m.removed, quot, args.n)
     _emit("class,count,frequency,reference",
-          [[_fmt_vec(key), str(res.counts[key]), _fmt(res.frequencies[key]), _fmt(res.reference[key])]
-           for key in sorted(res.counts, key=repr)])
-    return 0
+          *((key, res.counts[key], res.frequencies[key], res.reference[key])
+            for key in sorted(res.counts)))
 
 
-def cmd_equidist(args) -> int:
+def cmd_equidist(args, m) -> None:
     from .counting import equidistribution_test
     from .legendre import solve_u
-    m = load_model(args.model)
     q = _query_from(args, m)
-    dd = solve_u(m.graph, m.weights, q.rho)
     obs = _parse_obs(args.obs)
     unknown = set(obs) - m.graph.edge_set
     if unknown:
         raise MissingEdge(f"observable given on non-edges {sorted(unknown)}")
+    dd = solve_u(m.graph, m.weights, q.rho)
     phi = {e: 0.0 for e in m.graph.edges}
     phi.update(obs)
-    res = equidistribution_test(m.graph, m.weights, dd, q, phi, budget_cap=args.budget)
-    _emit(
-        "empirical,expected,n_orbits",
-        [[_fmt(res.empirical), _fmt(res.expected), str(res.n_orbits)]],
-    )
-    return 0
+    _emit("empirical,expected,n_orbits",
+          equidistribution_test(m.graph, m.weights, dd, q, phi, budget_cap=args.budget))
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, model) -> int:
     from . import checks
     return 0 if checks.run_all_checks() else 2
 
 
-def cmd_show(args) -> int:
-    model = load_model(args.model)
+def cmd_show(args, model) -> None:
     sys.stdout.write(serialize_model(model))
-    return 0
 
 
 def main(argv=None) -> int:
@@ -317,10 +262,13 @@ def main(argv=None) -> int:
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, load_model(args.model) if "model" in args else None) or 0
     except OrbitflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

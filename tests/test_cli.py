@@ -3,7 +3,11 @@
 import contextlib
 import io
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -106,12 +110,58 @@ PINNED_REFUSALS = (
     # a finite observable whose cycle sums pass the float range
     ("equidist full2 --T 10 --delta 2 --rho 0.5 --alpha 0 --obs 1>2=1.7e308", 3,
      "the average of the observable overflows a float"),
+    # a malformed observable is refused before the dual solve, which rho = 5 fails
+    ("equidist full2 --T 10 --delta 2 --rho 5 --alpha 0 --obs junk", 2,
+     "expected finite edge values like 1>2=1.0, got 'junk'"),
+    ("equidist full2 --T 10 --delta 2 --rho 5 --alpha 0 --obs 3>1=1", 2,
+     "observable given on non-edges [(3, 1)]"),
 )
 
 
 @pytest.mark.parametrize("command,code,message", PINNED_REFUSALS)
 def test_refusal_prints_one_pinned_line(capsys, command, code, message):
     assert run(capsys, *command.split(" ")) == (code, "", f"error: {message}\n")
+
+
+def test_out_of_memory_exits_3_with_one_line():
+    # a hull whose cycle scan outgrows a 512 MB address space
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "orbitflow.cli", "hull", "bench3", "--n", "40"],
+                          capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+# output shapes the README does not show, each value exact
+PINNED_STDOUT = {
+    # a prediction of 0: the ratio column reads nan
+    "sweep full2 --Tmin 10 --Tmax 11 --step 1 --delta 1 --rho 0.3 --alpha -1000":
+        "T,delta,target_class,exact,predicted,ratio\n"
+        "10.0,1.0,-997,0,0.0,nan\n"
+        "11.0,1.0,-997,0,0.0,nan\n",
+    "hull full2 --n 4":   # a 1-d hull
+        "role,coords\ndim,1\npoint,0.0\npoint,0.25\npoint,0.3333333333333333\npoint,0.5\n"
+        "point,0.6666666666666666\npoint,0.75\npoint,1.0\nvertex,0.0\nvertex,1.0\n",
+    "hull goldenmean --n 1":   # a 0-d hull
+        "role,coords\ndim,0\npoint,0.0\nvertex,0.0\n",
+    "chebotarev bench3 --mod 2 --n 6":   # 2-d class keys
+        "class,count,frequency,reference\n"
+        "0;0,67,0.34536082474226804,0.25\n"
+        "0;1,42,0.21649484536082475,0.25\n"
+        "1;0,42,0.21649484536082475,0.25\n"
+        "1;1,43,0.22164948453608246,0.25\n",
+    "count bench3 --T 12.5 --delta 1 --rho 0.3,0.05 --alpha 0,-1":   # a negative entry
+        "T,delta,target_class,exact\n12.5,1.0,3;-1,0\n",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_STDOUT)
+def test_output_shape_pinned(capsys, command):
+    assert run(capsys, *command.split(" ")) == (0, PINNED_STDOUT[command], "")
 
 
 def test_huge_alpha_still_predicts(capsys):
@@ -362,6 +412,11 @@ class TestChebotarev:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 7
+
+    def test_classes_in_numeric_order(self, capsys):
+        code, out, _ = run(capsys, "chebotarev", "full2", "--mod", "11", "--n", "12")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == [str(k) for k in range(11)]
 
     def test_both_flags_rejected(self, capsys):
         code, _, err = run(
